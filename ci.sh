@@ -13,6 +13,11 @@ cargo fmt --check
 echo "==> build (release)"
 cargo build --release
 
+echo "==> benchmark compile check (perfbench is its own workspace)"
+# `--workspace` never reaches perfbench/, so a sada-fleet API change that
+# breaks the benchmark would otherwise only surface when it is run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> tier-1 tests (root package: safety properties + chaos sweep)"
 cargo test -q
 

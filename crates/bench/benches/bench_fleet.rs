@@ -14,7 +14,7 @@
 //! above 50%) without changing the final configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sada_fleet::{disjoint_wave, run_fleet, FleetReport, FleetScenario};
+use sada_fleet::{disjoint_wave, run_fleet, FleetScenario, ShardReport};
 
 /// Sessions of two groups each, one session per two groups: fleet size
 /// scales while per-session work stays fixed (two steps, four agents).
@@ -25,12 +25,12 @@ fn scenario(groups: usize, serialize: bool) -> FleetScenario {
 }
 
 /// Virtual-time sessions/sec over the makespan.
-fn throughput(r: &FleetReport) -> f64 {
+fn throughput(r: &ShardReport) -> f64 {
     r.succeeded() as f64 / (r.makespan_us as f64 / 1e6)
 }
 
 /// Nearest-rank percentile of the per-session end-to-end latencies, in μs.
-fn latency_pct(r: &FleetReport, pct: f64) -> u64 {
+fn latency_pct(r: &ShardReport, pct: f64) -> u64 {
     let mut lats: Vec<u64> = r.results.iter().filter_map(|s| s.latency_us()).collect();
     lats.sort_unstable();
     assert!(!lats.is_empty());

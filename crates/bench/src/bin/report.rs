@@ -645,7 +645,9 @@ fn timeline(seed: Option<u64>) {
 }
 
 fn fleet(seed: Option<u64>) {
-    use sada_fleet::{disjoint_wave, run_fleet, FleetScenario, SessionSpec};
+    use sada_fleet::{
+        disjoint_wave, run_fleet, run_fleet_sharded, FleetScenario, SessionSpec, ShardScenario,
+    };
     let seed = seed.unwrap_or(42);
     println!("## Fleet-scale control plane (seed {seed})");
 
@@ -718,8 +720,9 @@ fn fleet(seed: Option<u64>) {
         ],
     );
     chaos_scenario.seed = seed;
-    chaos_scenario.crash_control = Some((SimTime::from_millis(6), SimTime::from_millis(10)));
-    let r = run_fleet(&chaos_scenario);
+    let mut chaos_scenario = ShardScenario::new(chaos_scenario, 1);
+    chaos_scenario.crash_region = Some((0, SimTime::from_millis(6), SimTime::from_millis(10)));
+    let r = run_fleet_sharded(&chaos_scenario, 1);
     println!(
         "crash/restore leg: restores={} success={}/2 final={} (overlap serialized: {})",
         r.restores,
@@ -727,8 +730,9 @@ fn fleet(seed: Option<u64>) {
         r.final_config,
         r.session(1).and_then(|a| a.completed_at) <= r.session(2).and_then(|b| b.admitted_at)
     );
-    println!("journal ({} records):", r.journal_text.lines().count());
-    for line in r.journal_text.lines() {
+    let journal = &r.journals[0].1;
+    println!("journal ({} records):", journal.lines().count());
+    for line in journal.lines() {
         println!("  {line}");
     }
 }

@@ -84,6 +84,16 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
 }
 
+impl std::ops::AddAssign for PlanCacheStats {
+    fn add_assign(&mut self, o: PlanCacheStats) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.insertions += o.insertions;
+        self.evictions += o.evictions;
+        self.invalidations += o.invalidations;
+    }
+}
+
 /// What a cache interaction was, for the observability stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheNoteKind {

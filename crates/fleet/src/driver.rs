@@ -1,21 +1,18 @@
-//! Fleet scenario driver: builds a simulated fleet (2 agents per group),
-//! runs the control plane over it, and distills a [`FleetReport`] from the
-//! durable state plus the session-tagged event stream.
+//! Fleet scenario description and the flat driver: [`run_fleet`] runs a
+//! scenario as the one-region, one-thread case of
+//! [`run_fleet_sharded`](crate::run_fleet_sharded), which distills a
+//! [`ShardReport`] from the durable state plus the session-tagged event
+//! stream.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use sada_proto::ProtoTiming;
+use sada_simnet::{FaultPlan, SimDuration};
 
-use crate::arena::AgentArena;
-use sada_obs::{Bus, Event, Payload, RingSink};
-use sada_proto::{encode_session_journal, AgentTiming, ProtoTiming, Wire};
-use sada_simnet::{ActorId, FaultPlan, LinkConfig, NetStats, SimDuration, SimTime, Simulator};
-
-use crate::cache::PlanCacheStats;
-use crate::control::{Admission, ControlActor, FleetResilience, SessionSpec};
-use crate::world::{Domain, FleetWorld, WorldSpec};
+use crate::control::{Admission, FleetResilience, SessionSpec};
+use crate::shard::{run_fleet_sharded, ShardReport, ShardScenario};
+use crate::world::{FleetWorld, WorldSpec};
 
 /// A fleet-scale experiment: the world size, the session workload, and the
-/// fault schedule for the control plane itself.
+/// simnet fault schedule.
 #[derive(Debug, Clone)]
 pub struct FleetScenario {
     /// Number of flip units — component groups in the video world, clusters
@@ -24,7 +21,8 @@ pub struct FleetScenario {
     /// The adaptation requests to submit.
     pub sessions: Vec<SessionSpec>,
     /// Serial baseline: map every session onto one shared lock resource so
-    /// nothing runs concurrently (benchmarks compare against this).
+    /// nothing runs concurrently (benchmarks compare against this). One
+    /// lock domain by definition, so only one-region runs accept it.
     pub serialize: bool,
     /// Simulation seed.
     pub seed: u64,
@@ -32,8 +30,6 @@ pub struct FleetScenario {
     pub link_latency: SimDuration,
     /// Virtual-time budget for the whole run.
     pub time_budget: SimDuration,
-    /// Crash/restart instants for the control plane, if any.
-    pub crash_control: Option<(SimTime, SimTime)>,
     /// Protocol timing for every session core (retry policy included).
     pub timing: ProtoTiming,
     /// Overload-protection configuration for the control plane.
@@ -42,8 +38,11 @@ pub struct FleetScenario {
     /// that agent's work (reset, drain, act, resume, rollback) is stretched
     /// by the factor, modelling a saturated or GC-thrashing process.
     pub slow_agents: Vec<(usize, u32)>,
-    /// Arbitrary simnet fault schedule (crash loops, delay bursts, drops)
-    /// applied on top of `crash_control`.
+    /// Arbitrary simnet fault schedule (crash loops, delay bursts, drops),
+    /// addressed by one simulator's actor ids — agents at `[0, processes)`,
+    /// the control plane next — so only one-region runs accept it.
+    /// Control-plane crash windows go through
+    /// [`ShardScenario::crash_region`](crate::ShardScenario::crash_region).
     pub faults: FaultPlan,
     /// Declarative world to run instead of the hard-coded video clone.
     /// `None` keeps the classic `FleetWorld::build(groups)` video world.
@@ -67,7 +66,6 @@ impl FleetScenario {
             seed: 42,
             link_latency: SimDuration::from_millis(1),
             time_budget: SimDuration::from_secs(30),
-            crash_control: None,
             timing: ProtoTiming::default(),
             resilience: FleetResilience::default(),
             slow_agents: Vec::new(),
@@ -147,188 +145,10 @@ impl SessionResult {
     }
 }
 
-/// Everything a fleet run produced.
-pub struct FleetReport {
-    /// Per-session results, ascending by session id.
-    pub results: Vec<SessionResult>,
-    /// The fleet configuration after all completions, as a bit string.
-    pub final_config: String,
-    /// The session-tagged event stream (control plane + protocol + agents).
-    pub events: Vec<Event>,
-    /// The control plane's write-ahead journal, in text form.
-    pub journal_text: String,
-    /// Times the control plane was rebuilt from its journal.
-    pub restores: u64,
-    /// Peak number of simultaneously *admitted* sessions.
-    pub max_concurrent: usize,
-    /// First submission → last completion, in virtual μs.
-    pub makespan_us: u64,
-    /// Network counters for the run.
-    pub stats: NetStats,
-    /// Plan-cache counters for the final control-plane incarnation (crash
-    /// faults reset the volatile cache along with its counters).
-    pub cache: PlanCacheStats,
-    /// Sessions shed by bulkhead admission control.
-    pub shed: u64,
-    /// Sessions rejected at admission behind an open circuit breaker.
-    pub rejected: u64,
-    /// Circuit-breaker trips (Closed/HalfOpen → Open transitions).
-    pub breaker_trips: u64,
-    /// Per-scope breaker trips (a flapping collaborative set, not an agent).
-    pub scope_breaker_trips: u64,
-    /// Protocol sends suppressed by open breakers.
-    pub suppressed_sends: u64,
-    /// Cumulative open time per tripped agent, `(agent, μs)`.
-    pub breaker_open_us: Vec<(u32, u64)>,
-}
-
-impl FleetReport {
-    /// The result row for session `id`.
-    pub fn session(&self, id: u64) -> Option<&SessionResult> {
-        self.results.iter().find(|r| r.id == id)
-    }
-
-    /// Sessions that committed their adaptation.
-    pub fn succeeded(&self) -> usize {
-        self.results.iter().filter(|r| r.success).count()
-    }
-}
-
-/// Runs `scenario` to completion (or budget exhaustion) and reports.
-pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
-    let world = Rc::new(scenario.build_world());
-    let mut sim: Simulator<Wire<()>> = Simulator::new(scenario.seed);
-    sim.set_default_link(LinkConfig::reliable(scenario.link_latency));
-
-    let bus = Bus::new();
-    let ring = Rc::new(RefCell::new(RingSink::new(1 << 18)));
-    bus.attach(&ring);
-
-    // Agents first so their ids are dense [0, processes); the control plane
-    // takes the next slot, mirroring the solo ManagerActor layout.
-    let procs = world.model.process_count();
-    let control_id = ActorId::from_index(procs);
-    emit_domain_tag(&bus, &world, control_id);
-    let mut agents = Vec::with_capacity(procs);
-    let mut arena = AgentArena::with_capacity(control_id, bus.clone(), procs);
-    for p in 0..procs {
-        let timing = match scenario.slow_agents.iter().find(|&&(ix, _)| ix == p) {
-            Some(&(_, factor)) => scale_timing(AgentTiming::default(), factor),
-            None => AgentTiming::default(),
-        };
-        arena.push_member(timing);
-    }
-    let arena_id = sim.add_arena(arena);
-    for p in 0..procs {
-        agents.push(sim.add_arena_member(&format!("agent-{p}"), arena_id, p as u32));
-    }
-    let control = ControlActor::<()>::new(
-        Rc::clone(&world),
-        agents,
-        scenario.sessions.clone(),
-        scenario.timing,
-        scenario.serialize,
-    )
-    .with_resilience(scenario.resilience)
-    .with_bus(bus.clone());
-    let got = sim.add_actor("control", control);
-    assert_eq!(got, control_id, "control plane must sit after the agents");
-
-    if let Some((crash, restart)) = scenario.crash_control {
-        sim.crash_at(control_id, crash);
-        sim.restart_at(control_id, restart);
-    }
-    sim.schedule_faults(&scenario.faults);
-
-    sim.run_for(scenario.time_budget);
-    let now = sim.now();
-
-    let control =
-        sim.actor::<ControlActor<()>>(control_id).expect("control plane present after the run");
-
-    let mut ids: Vec<u64> = scenario.sessions.iter().map(|s| s.id).collect();
-    ids.sort_unstable();
-    let results: Vec<SessionResult> = ids
-        .iter()
-        .map(|&id| {
-            let outcome = control.results.get(&id);
-            SessionResult {
-                id,
-                submitted_at: control.submitted_at.get(&id).map(|t| t.as_micros()),
-                admitted_at: control.admitted_at.get(&id).map(|t| t.as_micros()),
-                completed_at: control.completed_at.get(&id).map(|t| t.as_micros()),
-                success: outcome.is_some_and(|o| o.success),
-                gave_up: outcome.is_some_and(|o| o.gave_up),
-                cancelled: outcome
-                    .is_some_and(|o| o.warnings.iter().any(|w| w.contains("cancelled"))),
-                shed: outcome.is_some_and(|o| o.warnings.iter().any(|w| w.contains("shed"))),
-                admission: control.admissions.get(&id).copied(),
-            }
-        })
-        .collect();
-
-    let events = ring.borrow().events();
-    FleetReport {
-        results,
-        final_config: control.fleet_config.to_bit_string(),
-        events,
-        journal_text: if scenario.render_journal {
-            encode_session_journal(&control.journal)
-        } else {
-            String::new()
-        },
-        restores: control.restores,
-        max_concurrent: max_concurrent(
-            control
-                .admitted_at
-                .iter()
-                .map(|(id, at)| {
-                    (at.as_micros(), control.completed_at.get(id).map(|t| t.as_micros()))
-                })
-                .collect(),
-        ),
-        makespan_us: makespan(control),
-        stats: sim.stats(),
-        cache: control.cache_stats(),
-        shed: control.shed_count,
-        rejected: control.rejected_count,
-        breaker_trips: control.breaker_trips,
-        scope_breaker_trips: control.scope_breaker_trips,
-        suppressed_sends: control.suppressed_sends,
-        breaker_open_us: control.breaker_open_us(now),
-    }
-}
-
-/// Tags the event stream with the world's domain and objective. Video
-/// worlds stay silent so every pre-existing stream (and its fingerprint)
-/// is byte-identical; generated domains announce themselves once per
-/// control plane, before any session activity.
-pub(crate) fn emit_domain_tag(bus: &Bus, world: &FleetWorld, control_id: ActorId) {
-    if world.domain() == Domain::Video {
-        return;
-    }
-    bus.emit(Event {
-        at: SimTime::ZERO,
-        actor: control_id.index() as u32,
-        session: 0,
-        shard: 0,
-        payload: Payload::Fleet(sada_obs::FleetEvent::DomainTagged {
-            domain: world.domain().tag(),
-            objective: world.objective().tag(),
-        }),
-    });
-}
-
-/// Stretches every phase of an agent's work by `factor`.
-pub(crate) fn scale_timing(t: AgentTiming, factor: u32) -> AgentTiming {
-    let scale = |d: SimDuration| SimDuration::from_micros(d.as_micros() * u64::from(factor));
-    AgentTiming {
-        safe_delay: scale(t.safe_delay),
-        drain_extra: scale(t.drain_extra),
-        act_delay: scale(t.act_delay),
-        resume_delay: scale(t.resume_delay),
-        rollback_delay: scale(t.rollback_delay),
-    }
+/// Runs `scenario` to completion (or budget exhaustion) as one region on
+/// one worker thread, and reports.
+pub fn run_fleet(scenario: &FleetScenario) -> ShardReport {
+    run_fleet_sharded(&ShardScenario::new(scenario.clone(), 1), 1)
 }
 
 /// Peak overlap of `[admitted, completed)` intervals; an interval without a
@@ -348,15 +168,6 @@ pub(crate) fn max_concurrent(intervals: Vec<(u64, Option<u64>)>) -> usize {
         peak = peak.max(cur);
     }
     peak.max(0) as usize
-}
-
-fn makespan<M: Clone + 'static>(control: &ControlActor<M>) -> u64 {
-    let first = control.submitted_at.values().map(|t| t.as_micros()).min();
-    let last = control.completed_at.values().map(|t| t.as_micros()).max();
-    match (first, last) {
-        (Some(a), Some(b)) => b.saturating_sub(a),
-        _ => 0,
-    }
 }
 
 #[cfg(test)]

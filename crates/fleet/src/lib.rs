@@ -27,9 +27,9 @@
 //!   multiplexed over a shared wire by [`SessionId`](sada_proto::SessionId)
 //!   stamps, with a session-tagged write-ahead journal that restores every
 //!   in-flight *and* queued session after a crash.
-//! * [`run_fleet`] — the scenario driver: hundreds of agent groups in
-//!   simnet, fault schedules, and a [`FleetReport`] with per-session
-//!   latencies, peak concurrency, and the captured event stream.
+//! * [`run_fleet`] — the flat driver: the one-region, one-thread case of
+//!   [`run_fleet_sharded`], with simnet fault schedules and the serial
+//!   baseline (both one-simulator features).
 //! * [`FleetResilience`] — overload protection for the control plane:
 //!   per-agent circuit breakers, bulkhead admission bounds with
 //!   deterministic shedding, and fail-fast rejection of sessions scoped
@@ -38,11 +38,13 @@
 //!   arrivals at multiples of the calibrated capacity
 //!   ([`measure_capacity`]) against a degraded fleet, comparing the
 //!   always-admit baseline with the protected configuration.
-//! * [`run_fleet_sharded`] — the control plane sharded across OS threads:
-//!   per-region simulators with their own control actors, a thin global
-//!   tier for scope-straddling sessions, and a deterministic cross-shard
-//!   fabric (conservative virtual clocks), so thread count never changes
-//!   results.
+//! * [`run_fleet_sharded`] — the one fleet runtime, sharded across OS
+//!   threads: per-region simulators with their own control actors, a thin
+//!   global tier for scope-straddling sessions, and a deterministic
+//!   cross-shard fabric (conservative virtual clocks), so thread count
+//!   never changes results. Every run, flat or sharded, reports through
+//!   one [`ShardReport`]: per-session latencies, peak concurrency, the
+//!   merged event stream and its fingerprint, and per-shard journals.
 
 mod arena;
 mod cache;
@@ -57,13 +59,12 @@ mod world;
 pub use arena::AgentArena;
 pub use cache::{CacheNote, CacheNoteKind, CachedPlan, PlanCache, PlanCacheStats, ScopeNormalizer};
 pub use control::{Admission, ControlActor, FleetResilience, SessionSpec};
-pub use driver::{disjoint_wave, run_fleet, FleetReport, FleetScenario, SessionResult};
+pub use driver::{disjoint_wave, run_fleet, FleetScenario, SessionResult};
 pub use lock::ScopeLockManager;
 pub use overload::{measure_capacity, run_overload, OverloadConfig, OverloadReport};
 pub use planner::ScopedLazyPlanner;
 pub use shard::{
-    encode_fabric_msg, fingerprint_events, fingerprint_events_unsharded, parse_fabric_msg,
-    run_fleet_sharded, FabricFaultPlan, FabricPayload, FabricStats, ShardReport, ShardScenario,
-    ShardStats, DEFAULT_REGIONS,
+    encode_fabric_msg, fingerprint_events, parse_fabric_msg, run_fleet_sharded, FabricFaultPlan,
+    FabricPayload, FabricStats, ShardReport, ShardScenario, ShardStats, DEFAULT_REGIONS,
 };
 pub use world::{ActionSpec, ClusterSpec, CompSpec, Domain, FleetWorld, Objective, WorldSpec};

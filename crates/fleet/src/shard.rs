@@ -1,10 +1,8 @@
-//! Sharded control plane: the fleet runtime split across OS threads with a
-//! deterministic cross-shard fabric.
+//! Sharded control plane: the one fleet runtime, split across OS threads
+//! with a deterministic cross-shard fabric.
 //!
-//! [`run_fleet`](crate::run_fleet) drives the whole fleet through one
-//! simulator on one thread. This module refactors that single loop into
-//! **shards**: the group space is cut into `regions` contiguous blocks, and
-//! each region runs its own simulator — its own agents, its own
+//! The group space is cut into `regions` contiguous blocks, and each region
+//! runs its own simulator — its own agents, its own
 //! [`ControlActor`] (scope-lock domain, plan cache, journal) — pumped by a
 //! real OS thread. Sessions whose scope stays inside one region never
 //! synchronize with anything; sessions that straddle regions escalate to a
@@ -32,10 +30,12 @@
 //!   workloads free-run with zero synchronization — the source of the
 //!   near-linear thread scaling in `bench_shard`.
 //!
-//! Each region replicates the exact actor layout of [`run_fleet`] (all
-//! agents, control plane at index `2·groups`) plus an idle fabric relay, so
-//! a `regions = 1` run is event-identical (modulo shard tags) to the
-//! unsharded driver.
+//! Every endpoint has the same actor layout — all agents at dense ids
+//! `[0, processes)`, its control plane at the next index, the fabric relay
+//! after that — so a simnet [`FaultPlan`](sada_simnet::FaultPlan) written
+//! against one simulator's actor ids addresses a one-region run directly.
+//! [`run_fleet`](crate::run_fleet) is exactly that case: one region on one
+//! thread.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -53,15 +53,16 @@ use sada_simnet::{
 
 use crate::cache::PlanCacheStats;
 use crate::control::{ControlActor, SessionSpec};
-use crate::driver::{max_concurrent, scale_timing, FleetScenario, SessionResult};
+use crate::driver::{max_concurrent, FleetScenario, SessionResult};
+use crate::world::{Domain, FleetWorld};
 
 /// Default region count: matches the 8-thread top rung of the scaling
 /// benchmark, and divides the benchmark fleets evenly.
 pub const DEFAULT_REGIONS: usize = 8;
 
 /// Endpoint-seed stride (the 64-bit golden ratio), so endpoint 0 keeps the
-/// scenario seed (the `regions = 1` ≡ `run_fleet` equivalence) while the
-/// rest get decorrelated streams.
+/// scenario seed — a one-region run is seeded exactly as the scenario says
+/// — while the rest get decorrelated streams.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1443,9 +1444,11 @@ impl Actor<Wire<ShardMsg>> for GlobalControl {
 
 /// Everything a worker thread needs to *build* one endpoint — plain data,
 /// since simulators are constructed inside the owning thread.
-#[derive(Clone)]
 struct EndpointPlan {
     id: u32,
+    /// The world the driver already compiled, handed to endpoint 0 so it
+    /// is not compiled twice; every other endpoint compiles its own.
+    world: Option<FleetWorld>,
     specs: Vec<SessionSpec>,
     straddlers: Vec<StraddlerPlan>,
     inbound: Vec<u32>,
@@ -1455,7 +1458,6 @@ struct EndpointPlan {
     is_global: bool,
 }
 
-#[derive(Clone)]
 struct StraddlerPlan {
     sid: u64,
     priority: u8,
@@ -1491,13 +1493,17 @@ struct Endpoint {
     render_journal: bool,
 }
 
+/// Wires one endpoint: its simulator, the agent arena, the (region or
+/// global) control plane, and the fabric relay, then schedules the crash
+/// window and the scenario's simnet fault plan. This is the only place
+/// fleet actors are wired.
 fn build_endpoint(
     scn: &FleetScenario,
     regions: usize,
     budget_us: u64,
-    plan: &EndpointPlan,
+    mut plan: EndpointPlan,
 ) -> Endpoint {
-    let world = Rc::new(scn.build_world());
+    let world = Rc::new(plan.world.take().unwrap_or_else(|| scn.build_world()));
     let seed = scn.seed.wrapping_add(u64::from(plan.id).wrapping_mul(SEED_STRIDE));
     let mut sim: Simulator<Wire<ShardMsg>> = Simulator::new(seed);
     sim.set_default_link(LinkConfig::reliable(scn.link_latency));
@@ -1508,13 +1514,12 @@ fn build_endpoint(
     let shard_tag = plan.id + 1;
     let sharded = bus.sharded(shard_tag);
 
-    // Replicate `run_fleet`'s exact actor layout — all agents, control at
-    // the next index — so a one-region run is event-identical to the
-    // unsharded driver; the fabric relay takes the slot after that.
+    // Agents first so their ids are dense [0, processes); the control plane
+    // takes the next slot and the fabric relay the one after that.
     let procs = world.model.process_count();
     let control_id = ActorId::from_index(procs);
     let relay_id = ActorId::from_index(procs + 1);
-    crate::driver::emit_domain_tag(&sharded, &world, control_id);
+    emit_domain_tag(&sharded, &world, control_id);
     let mut agents = Vec::with_capacity(procs);
     let mut arena = crate::arena::AgentArena::with_capacity(control_id, sharded.clone(), procs);
     for p in 0..procs {
@@ -1528,10 +1533,11 @@ fn build_endpoint(
     for p in 0..procs {
         agents.push(sim.add_arena_member(&format!("agent-{p}"), arena_id, p as u32));
     }
+    let sessions = plan.specs.iter().map(|s| s.id).collect();
     let inner = ControlActor::<ShardMsg>::new(
         Rc::clone(&world),
         agents,
-        plan.specs.clone(),
+        plan.specs,
         scn.timing,
         scn.serialize,
     )
@@ -1540,13 +1546,13 @@ fn build_endpoint(
     let got = if plan.is_global {
         let straddlers = plan
             .straddlers
-            .iter()
+            .into_iter()
             .map(|s| Straddler {
                 sid: s.sid,
                 priority: s.priority,
                 submit_at: s.submit_at,
                 cancel_at: s.cancel_at,
-                slices: s.slices.clone(),
+                slices: s.slices,
                 next: 0,
                 phase: Phase::Pending,
             })
@@ -1600,6 +1606,7 @@ fn build_endpoint(
         sim.crash_at(control_id, crash);
         sim.restart_at(control_id, restart);
     }
+    sim.schedule_faults(&scn.faults);
 
     Endpoint {
         id: plan.id,
@@ -1610,13 +1617,13 @@ fn build_endpoint(
         outbox,
         ring,
         bus: sharded,
-        inbound: plan.inbound.clone(),
-        outbound: plan.outbound.clone(),
+        inbound: plan.inbound,
+        outbound: plan.outbound,
         staged: BTreeMap::new(),
         ran_to_us: 0,
         budget_us,
         done: false,
-        sessions: plan.specs.iter().map(|s| s.id).collect(),
+        sessions,
         owned_comps: plan
             .owned_groups
             .iter()
@@ -1624,6 +1631,38 @@ fn build_endpoint(
             .collect(),
         is_global: plan.is_global,
         render_journal: scn.render_journal,
+    }
+}
+
+/// Tags the event stream with the world's domain and objective. Video
+/// worlds stay silent so every pre-existing stream (and its fingerprint)
+/// is byte-identical; generated domains announce themselves once per
+/// control plane, before any session activity.
+fn emit_domain_tag(bus: &Bus, world: &FleetWorld, control_id: ActorId) {
+    if world.domain() == Domain::Video {
+        return;
+    }
+    bus.emit(Event {
+        at: SimTime::ZERO,
+        actor: control_id.index() as u32,
+        session: 0,
+        shard: 0,
+        payload: Payload::Fleet(FleetEvent::DomainTagged {
+            domain: world.domain().tag(),
+            objective: world.objective().tag(),
+        }),
+    });
+}
+
+/// Stretches every phase of an agent's work by `factor`.
+fn scale_timing(t: AgentTiming, factor: u32) -> AgentTiming {
+    let scale = |d: SimDuration| SimDuration::from_micros(d.as_micros() * u64::from(factor));
+    AgentTiming {
+        safe_delay: scale(t.safe_delay),
+        drain_extra: scale(t.drain_extra),
+        act_delay: scale(t.act_delay),
+        resume_delay: scale(t.resume_delay),
+        rollback_delay: scale(t.rollback_delay),
     }
 }
 
@@ -1904,7 +1943,9 @@ struct EndpointOutcome {
     shed: u64,
     rejected: u64,
     breaker_trips: u64,
+    scope_breaker_trips: u64,
     suppressed_sends: u64,
+    breaker_open_us: Vec<(u32, u64)>,
     retransmits: u64,
     abandoned: u64,
     orphaned_releases: u64,
@@ -2001,7 +2042,9 @@ fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
         shed: ctl.shed_count,
         rejected: ctl.rejected_count,
         breaker_trips: ctl.breaker_trips,
+        scope_breaker_trips: ctl.scope_breaker_trips,
         suppressed_sends: ctl.suppressed_sends,
+        breaker_open_us: ctl.breaker_open_us(ep.sim.now()),
         retransmits: fabric_counters.0,
         abandoned: fabric_counters.1,
         orphaned_releases: fabric_counters.2,
@@ -2019,7 +2062,7 @@ fn run_worker(
     fabric: &Fabric,
 ) -> Vec<EndpointOutcome> {
     let mut eps: Vec<Endpoint> =
-        plans.iter().map(|p| build_endpoint(scn, regions, budget_us, p)).collect();
+        plans.into_iter().map(|p| build_endpoint(scn, regions, budget_us, p)).collect();
     loop {
         let mut progressed = false;
         let mut all_done = true;
@@ -2076,6 +2119,12 @@ pub struct ShardReport {
     pub fabric: FabricStats,
     /// Control-plane restores summed over shards.
     pub restores: u64,
+    /// Network counters summed over every endpoint's simulator.
+    pub stats: NetStats,
+    /// Plan-cache counters summed over every shard's final control-plane
+    /// incarnation (crash faults reset the volatile cache with its
+    /// counters).
+    pub cache: PlanCacheStats,
     /// Peak simultaneously admitted sessions across the whole fleet.
     pub max_concurrent: usize,
     /// First submission → last completion, virtual μs, across shards.
@@ -2086,8 +2135,14 @@ pub struct ShardReport {
     pub rejected: u64,
     /// Circuit-breaker trips (all shards).
     pub breaker_trips: u64,
+    /// Per-scope breaker trips — a flapping collaborative set, not an
+    /// agent (all shards).
+    pub scope_breaker_trips: u64,
     /// Protocol sends suppressed by open breakers (all shards).
     pub suppressed_sends: u64,
+    /// Cumulative open time per tripped agent, `(agent, μs)`, ascending by
+    /// agent and summed over the control planes that tripped it.
+    pub breaker_open_us: Vec<(u32, u64)>,
     /// Fabric retransmissions the global tier's ladder issued.
     pub retransmits: u64,
     /// Straddlers abandoned after the ladder exhausted against a region.
@@ -2136,38 +2191,27 @@ pub fn fingerprint_events(events: &[Event]) -> u64 {
     h
 }
 
-/// Like [`fingerprint_events`] with shard tags normalized to zero — the
-/// identity compared between a one-region sharded run and the unsharded
-/// [`run_fleet`](crate::run_fleet) driver.
-pub fn fingerprint_events_unsharded(events: &[Event]) -> u64 {
-    let mut h = FNV_BASIS;
-    let mut line = String::with_capacity(128);
-    for ev in events {
-        let mut ev = ev.clone();
-        ev.shard = 0;
-        line.clear();
-        encode_event_into(&mut line, &ev);
-        line.push('\n');
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
 /// Runs `scenario` sharded across `threads` worker threads and reports.
 ///
 /// Thread count is pure execution policy: any value produces bit-for-bit
 /// identical results, journals, and event streams for a fixed scenario.
+///
+/// # Panics
+///
+/// Panics on `threads == 0`, a region count outside `1..=groups`, an
+/// out-of-range `crash_region`, and — with more than one region — a
+/// non-empty simnet fault plan (it addresses one simulator's actor ids) or
+/// the serial baseline (one lock domain by definition).
 pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardReport {
     let fleet = &scenario.fleet;
     let regions = scenario.regions;
     assert!(threads >= 1, "at least one worker thread");
     assert!(regions >= 1 && regions <= fleet.groups.max(1), "1 ≤ regions ≤ groups");
-    assert!(fleet.crash_control.is_none(), "sharded runs target faults via crash_region");
-    assert!(fleet.faults.is_empty(), "sharded runs target faults via crash_region");
-    assert!(!fleet.serialize, "the serial baseline is inherently unsharded");
+    assert!(
+        regions == 1 || fleet.faults.is_empty(),
+        "a simnet fault plan addresses one simulator: only with one region"
+    );
+    assert!(regions == 1 || !fleet.serialize, "the serial baseline is one lock domain");
     if let Some((r, _, _)) = scenario.crash_region {
         assert!(r < regions, "crash_region out of range");
     }
@@ -2201,6 +2245,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
             let active = involved.contains(&(r as u32));
             EndpointPlan {
                 id: r as u32,
+                world: None,
                 specs: per_region[r].clone(),
                 straddlers: Vec::new(),
                 inbound: if active { vec![global_ep] } else { Vec::new() },
@@ -2250,6 +2295,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
             .collect();
         plans.push(EndpointPlan {
             id: global_ep,
+            world: None,
             specs,
             straddlers: plan_straddlers,
             inbound: involved.clone(),
@@ -2259,6 +2305,10 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
             is_global: true,
         });
     }
+
+    // Hand the compiled world to endpoint 0 instead of compiling it again.
+    let initial_config = world.initial_config();
+    plans[0].world = Some(world);
 
     let fabric = Arc::new(Fabric::new(
         &involved,
@@ -2270,16 +2320,21 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
     let started = Instant::now();
     let mut outcomes: Vec<EndpointOutcome> = Vec::new();
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..threads {
-            let mine: Vec<EndpointPlan> =
-                plans.iter().filter(|p| p.id as usize % threads == w).cloned().collect();
-            if mine.is_empty() {
-                continue;
-            }
-            let fabric = Arc::clone(&fabric);
-            handles.push(scope.spawn(move || run_worker(fleet, regions, budget_us, mine, &fabric)));
+        let mut per_worker: Vec<Vec<EndpointPlan>> = (0..threads).map(|_| Vec::new()).collect();
+        for p in plans {
+            per_worker[p.id as usize % threads].push(p);
         }
+        // Worker 0 (it owns endpoint 0, so it always has work) runs on the
+        // calling thread: a one-thread run spawns nothing.
+        let mut workers = per_worker.into_iter().filter(|m| !m.is_empty());
+        let first = workers.next().expect("worker 0 owns endpoint 0");
+        let handles: Vec<_> = workers
+            .map(|mine| {
+                let fabric = Arc::clone(&fabric);
+                scope.spawn(move || run_worker(fleet, regions, budget_us, mine, &fabric))
+            })
+            .collect();
+        outcomes.extend(run_worker(fleet, regions, budget_us, first, &fabric));
         for h in handles {
             outcomes.extend(h.join().expect("shard worker panicked"));
         }
@@ -2302,7 +2357,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
 
     // Regions are authoritative for their groups' component values (global
     // completions flowed back via `LockRelease`).
-    let mut cfg = world.initial_config();
+    let mut cfg = initial_config;
     for o in &outcomes {
         for &(c, present) in &o.config {
             if present {
@@ -2355,6 +2410,17 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
         }
     };
 
+    let mut stats = NetStats::default();
+    let mut cache = PlanCacheStats::default();
+    let mut open_us: BTreeMap<u32, u64> = BTreeMap::new();
+    for o in &outcomes {
+        stats += o.stats;
+        cache += o.cache;
+        for &(agent, us) in &o.breaker_open_us {
+            *open_us.entry(agent).or_default() += us;
+        }
+    }
+
     ShardReport {
         final_config: cfg.to_bit_string(),
         fingerprint,
@@ -2365,12 +2431,16 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
             .map(|o| o.global_journal_text.clone())
             .unwrap_or_default(),
         restores: outcomes.iter().map(|o| o.restores).sum(),
+        stats,
+        cache,
         max_concurrent: max_concurrent(intervals),
         makespan_us,
         shed: outcomes.iter().map(|o| o.shed).sum(),
         rejected: outcomes.iter().map(|o| o.rejected).sum(),
         breaker_trips: outcomes.iter().map(|o| o.breaker_trips).sum(),
+        scope_breaker_trips: outcomes.iter().map(|o| o.scope_breaker_trips).sum(),
         suppressed_sends: outcomes.iter().map(|o| o.suppressed_sends).sum(),
+        breaker_open_us: open_us.into_iter().collect(),
         retransmits: outcomes.iter().map(|o| o.retransmits).sum(),
         abandoned: outcomes.iter().map(|o| o.abandoned).sum(),
         orphaned_releases: outcomes.iter().map(|o| o.orphaned_releases).sum(),
@@ -2423,16 +2493,20 @@ mod tests {
     }
 
     #[test]
-    fn one_region_is_event_identical_to_run_fleet() {
-        let fleet = FleetScenario::new(4, disjoint_wave(4, 1));
-        let unsharded = run_fleet(&fleet);
-        let report = run_fleet_sharded(&ShardScenario::new(fleet, 1), 1);
-        assert_eq!(
-            fingerprint_events_unsharded(&report.events),
-            fingerprint_events_unsharded(&unsharded.events),
-            "one region replicates the unsharded run modulo shard tags"
-        );
-        assert_eq!(report.final_config, unsharded.final_config);
+    #[should_panic(expected = "only with one region")]
+    fn simnet_faults_are_rejected_with_several_regions() {
+        let mut fleet = FleetScenario::new(4, disjoint_wave(4, 1));
+        fleet.faults =
+            sada_simnet::FaultPlan::new().crash(ActorId::from_index(0), SimTime::from_millis(2));
+        run_fleet_sharded(&ShardScenario::new(fleet, 2), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one lock domain")]
+    fn serial_baseline_is_rejected_with_several_regions() {
+        let mut fleet = FleetScenario::new(4, disjoint_wave(4, 1));
+        fleet.serialize = true;
+        run_fleet_sharded(&ShardScenario::new(fleet, 2), 1);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 
 use proptest::prelude::*;
 use sada_fleet::{
-    fingerprint_events, fingerprint_events_unsharded, run_fleet, run_fleet_sharded, FleetScenario,
-    SessionSpec, ShardScenario,
+    fingerprint_events, run_fleet_sharded, FleetScenario, SessionSpec, ShardScenario,
 };
 use sada_simnet::{SimDuration, SimTime};
 
@@ -103,24 +102,6 @@ proptest! {
             configs.push(run.final_config);
         }
         prop_assert!(configs.windows(2).all(|w| w[0] == w[1]), "configs: {configs:?}");
-    }
-}
-
-/// One region on one thread replays the unsharded driver exactly: same
-/// final configuration and an event stream identical modulo shard tags.
-#[test]
-fn single_region_matches_run_fleet() {
-    for seed in [3u64, 17, 99] {
-        let mut fleet = FleetScenario::new(6, forward_wave(6, seed));
-        fleet.seed = seed;
-        let unsharded = run_fleet(&fleet);
-        let sharded = run_fleet_sharded(&ShardScenario::new(fleet, 1), 1);
-        assert_eq!(
-            fingerprint_events_unsharded(&sharded.events),
-            fingerprint_events_unsharded(&unsharded.events),
-            "seed {seed}: one region must replicate the unsharded run"
-        );
-        assert_eq!(sharded.final_config, unsharded.final_config);
     }
 }
 

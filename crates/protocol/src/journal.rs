@@ -20,7 +20,9 @@
 //! `sada_simnet::FaultPlan`, so a failing chaos run can dump its journal next
 //! to the trace and the run can be replayed from any prefix.
 
-use std::fmt;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 use sada_expr::Config;
 use sada_plan::ActionId;
@@ -102,11 +104,72 @@ fn fmt_config(c: &Config) -> String {
     c.to_bit_string()
 }
 
-fn fmt_actions(actions: &[ActionId]) -> String {
-    if actions.is_empty() {
+/// The journal's list form: comma-joined, `-` for an empty list.
+fn fmt_list<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let out = items.into_iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",");
+    if out.is_empty() {
         "-".to_string()
     } else {
-        actions.iter().map(|a| a.0.to_string()).collect::<Vec<_>>().join(",")
+        out
+    }
+}
+
+/// Parses [`fmt_list`]'s form; errors name the field `k`.
+fn parse_list(v: &str, k: &str) -> Result<Vec<u32>, String> {
+    if v == "-" {
+        return Ok(Vec::new());
+    }
+    v.split(',').map(|s| s.parse::<u32>().map_err(|e| format!("field '{k}': {e}"))).collect()
+}
+
+/// One record per line, each terminated by a newline.
+fn encode_lines<R: fmt::Display>(records: &[R]) -> String {
+    let mut out = String::new();
+    for r in records {
+        let _ = writeln!(out, "{r}");
+    }
+    out
+}
+
+/// Parses every non-blank, non-`#` line with `parse`, prefixing errors with
+/// the 1-based line number.
+fn parse_lines<R>(text: &str, parse: impl Fn(&str) -> Result<R, String>) -> Result<Vec<R>, String> {
+    let mut records = Vec::new();
+    for (lineno, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        records.push(parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
+    }
+    Ok(records)
+}
+
+/// The `key=value` fields of one `verb key=value…` line.
+struct Fields<'a>(HashMap<&'a str, &'a str>);
+
+/// Splits a line into its verb and [`Fields`].
+fn split_record(line: &str) -> Result<(&str, Fields<'_>), String> {
+    let mut words = line.split_whitespace();
+    let verb = words.next().ok_or("empty journal line")?;
+    let mut fields = HashMap::new();
+    for w in words {
+        let (k, v) = w.split_once('=').ok_or_else(|| format!("expected key=value, got '{w}'"))?;
+        fields.insert(k, v);
+    }
+    Ok((verb, Fields(fields)))
+}
+
+impl<'a> Fields<'a> {
+    fn raw(&self, k: &str) -> Result<&'a str, String> {
+        self.0.get(k).copied().ok_or_else(|| format!("missing field '{k}'"))
+    }
+
+    fn parse<T: FromStr>(&self, k: &str) -> Result<T, String>
+    where
+        T::Err: fmt::Display,
+    {
+        self.raw(k)?.parse::<T>().map_err(|e| format!("field '{k}': {e}"))
     }
 }
 
@@ -120,7 +183,7 @@ impl fmt::Display for JournalRecord {
                 write!(f, "queued source={} target={}", fmt_config(source), fmt_config(target))
             }
             JournalRecord::PathSelected { actions } => {
-                write!(f, "path actions={}", fmt_actions(actions))
+                write!(f, "path actions={}", fmt_list(actions.iter().map(|a| a.0)))
             }
             JournalRecord::GoalReversed => write!(f, "reverse"),
             JournalRecord::StepStarted { step, ix } => write!(f, "step id={} ix={ix}", step.0),
@@ -140,26 +203,16 @@ impl fmt::Display for JournalRecord {
 /// Serializes a journal to its line-oriented text form (one record per
 /// line, in order).
 pub fn encode_journal(records: &[JournalRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_string());
-        out.push('\n');
-    }
-    out
+    encode_lines(records)
 }
 
 /// Parses the text form produced by [`encode_journal`]. Blank lines and `#`
 /// comments are ignored.
 pub fn parse_journal(text: &str) -> Result<Vec<JournalRecord>, String> {
-    let mut records = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        records.push(parse_record(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(records)
+    parse_lines(text, |line| {
+        let (verb, fields) = split_record(line)?;
+        parse_record(verb, &fields)
+    })
 }
 
 fn parse_config(bits: &str) -> Result<Config, String> {
@@ -175,27 +228,12 @@ fn parse_config(bits: &str) -> Result<Config, String> {
     Ok(cfg)
 }
 
-fn parse_record(line: &str) -> Result<JournalRecord, String> {
-    let mut words = line.split_whitespace();
-    let verb = words.next().ok_or("empty journal line")?;
-    let mut fields = std::collections::HashMap::new();
-    for w in words {
-        let (k, v) = w.split_once('=').ok_or_else(|| format!("expected key=value, got '{w}'"))?;
-        fields.insert(k, v);
-    }
-    let raw = |k: &str| -> Result<&str, String> {
-        fields.get(k).copied().ok_or_else(|| format!("missing field '{k}'"))
-    };
-    let num = |k: &str| -> Result<u64, String> {
-        raw(k)?.parse::<u64>().map_err(|e| format!("field '{k}': {e}"))
-    };
-    let boolean = |k: &str| -> Result<bool, String> {
-        raw(k)?.parse::<bool>().map_err(|e| format!("field '{k}': {e}"))
-    };
+fn parse_record(verb: &str, fields: &Fields<'_>) -> Result<JournalRecord, String> {
+    let boolean = |k: &str| fields.parse::<bool>(k);
     let config = |k: &str| -> Result<Config, String> {
-        parse_config(raw(k)?).map_err(|e| format!("field '{k}': {e}"))
+        parse_config(fields.raw(k)?).map_err(|e| format!("field '{k}': {e}"))
     };
-    let step = |k: &str| -> Result<StepId, String> { Ok(StepId(num(k)?)) };
+    let step = |k: &str| -> Result<StepId, String> { Ok(StepId(fields.parse(k)?)) };
     match verb {
         "request" => {
             Ok(JournalRecord::Request { source: config("source")?, target: config("target")? })
@@ -204,20 +242,14 @@ fn parse_record(line: &str) -> Result<JournalRecord, String> {
             Ok(JournalRecord::Queued { source: config("source")?, target: config("target")? })
         }
         "path" => {
-            let v = raw("actions")?;
-            let actions = if v == "-" {
-                Vec::new()
-            } else {
-                v.split(',')
-                    .map(|s| {
-                        s.parse::<u32>().map(ActionId).map_err(|e| format!("field 'actions': {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            Ok(JournalRecord::PathSelected { actions })
+            let actions = parse_list(fields.raw("actions")?, "actions")?;
+            Ok(JournalRecord::PathSelected { actions: actions.into_iter().map(ActionId).collect() })
         }
         "reverse" => Ok(JournalRecord::GoalReversed),
-        "step" => Ok(JournalRecord::StepStarted { step: step("id")?, ix: num("ix")? as u32 }),
+        "step" => Ok(JournalRecord::StepStarted {
+            step: step("id")?,
+            ix: fields.parse::<u64>("ix")? as u32,
+        }),
         "resume" => Ok(JournalRecord::ResumeIssued { step: step("id")? }),
         "commit" => Ok(JournalRecord::StepCommitted { step: step("id")? }),
         "rollback" => Ok(JournalRecord::RollbackIssued { step: step("id")? }),
@@ -270,38 +302,23 @@ impl fmt::Display for SessionRecord {
 
 /// Serializes a session-tagged journal to its line-oriented text form.
 pub fn encode_session_journal(records: &[SessionRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_string());
-        out.push('\n');
-    }
-    out
+    encode_lines(records)
 }
 
 /// Parses the text form produced by [`encode_session_journal`]. Lines
 /// without a `session=` field — i.e. every pre-fleet journal — parse as
 /// [`SessionId::SOLO`]. Blank lines and `#` comments are ignored.
 pub fn parse_session_journal(text: &str) -> Result<Vec<SessionRecord>, String> {
-    let mut records = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        records.push(parse_session_record(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(records)
-}
-
-fn parse_session_record(line: &str) -> Result<SessionRecord, String> {
-    let record = parse_record(line)?;
-    let mut session = SessionId::SOLO;
-    for w in line.split_whitespace().skip(1) {
-        if let Some(v) = w.strip_prefix("session=") {
-            session = SessionId(v.parse::<u64>().map_err(|e| format!("field 'session': {e}"))?);
-        }
-    }
-    Ok(SessionRecord { session, record })
+    parse_lines(text, |line| {
+        let (verb, fields) = split_record(line)?;
+        let record = parse_record(verb, &fields)?;
+        let session = if fields.0.contains_key("session") {
+            SessionId(fields.parse("session")?)
+        } else {
+            SessionId::SOLO
+        };
+        Ok(SessionRecord { session, record })
+    })
 }
 
 /// One durable decision point of the *global* (straddler) control tier.
@@ -364,19 +381,11 @@ pub enum GlobalRecord {
     },
 }
 
-fn fmt_regions(regions: &[u32]) -> String {
-    if regions.is_empty() {
-        "-".to_string()
-    } else {
-        regions.iter().map(|r| r.to_string()).collect::<Vec<_>>().join(",")
-    }
-}
-
 impl fmt::Display for GlobalRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GlobalRecord::Escalated { session, regions } => {
-                write!(f, "escalated session={session} regions={}", fmt_regions(regions))
+                write!(f, "escalated session={session} regions={}", fmt_list(regions))
             }
             GlobalRecord::SliceGranted { session, region } => {
                 write!(f, "slice session={session} region={region}")
@@ -395,55 +404,24 @@ impl fmt::Display for GlobalRecord {
 
 /// Serializes a global-tier journal to its line-oriented text form.
 pub fn encode_global_journal(records: &[GlobalRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_string());
-        out.push('\n');
-    }
-    out
+    encode_lines(records)
 }
 
 /// Parses the text form produced by [`encode_global_journal`]. Blank lines
 /// and `#` comments are ignored.
 pub fn parse_global_journal(text: &str) -> Result<Vec<GlobalRecord>, String> {
-    let mut records = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        records.push(parse_global_record(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(records)
+    parse_lines(text, |line| {
+        let (verb, fields) = split_record(line)?;
+        parse_global_record(verb, &fields)
+    })
 }
 
-fn parse_global_record(line: &str) -> Result<GlobalRecord, String> {
-    let mut words = line.split_whitespace();
-    let verb = words.next().ok_or("empty journal line")?;
-    let mut fields = std::collections::HashMap::new();
-    for w in words {
-        let (k, v) = w.split_once('=').ok_or_else(|| format!("expected key=value, got '{w}'"))?;
-        fields.insert(k, v);
-    }
-    let raw = |k: &str| -> Result<&str, String> {
-        fields.get(k).copied().ok_or_else(|| format!("missing field '{k}'"))
-    };
-    let num = |k: &str| -> Result<u64, String> {
-        raw(k)?.parse::<u64>().map_err(|e| format!("field '{k}': {e}"))
-    };
-    let region = |k: &str| -> Result<u32, String> {
-        raw(k)?.parse::<u32>().map_err(|e| format!("field '{k}': {e}"))
-    };
+fn parse_global_record(verb: &str, fields: &Fields<'_>) -> Result<GlobalRecord, String> {
+    let num = |k: &str| fields.parse::<u64>(k);
+    let region = |k: &str| fields.parse::<u32>(k);
     match verb {
         "escalated" => {
-            let v = raw("regions")?;
-            let regions = if v == "-" {
-                Vec::new()
-            } else {
-                v.split(',')
-                    .map(|s| s.parse::<u32>().map_err(|e| format!("field 'regions': {e}")))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
+            let regions = parse_list(fields.raw("regions")?, "regions")?;
             Ok(GlobalRecord::Escalated { session: num("session")?, regions })
         }
         "slice" => {

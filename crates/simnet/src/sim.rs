@@ -42,6 +42,18 @@ pub struct NetStats {
     pub restarts: u64,
 }
 
+impl std::ops::AddAssign for NetStats {
+    fn add_assign(&mut self, o: NetStats) {
+        self.sent += o.sent;
+        self.delivered += o.delivered;
+        self.dropped += o.dropped;
+        self.timers_fired += o.timers_fired;
+        self.events_processed += o.events_processed;
+        self.crashes += o.crashes;
+        self.restarts += o.restarts;
+    }
+}
+
 /// Resolved form of a scheduled [`Fault`]: windows become on/off pairs.
 enum FaultAction {
     Crash(ActorId),

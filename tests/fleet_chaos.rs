@@ -2,7 +2,9 @@
 //! session mid-barrier and another queued behind it, and show the journal
 //! replay restores both; then sweep seeds over randomized crash windows.
 
-use sada_fleet::{run_fleet, FleetScenario, SessionSpec};
+use sada_fleet::{
+    run_fleet, run_fleet_sharded, FleetScenario, SessionSpec, ShardReport, ShardScenario,
+};
 use sada_obs::{FleetEvent, Payload};
 use sada_proto::parse_session_journal;
 use sada_simnet::{SimDuration, SimTime};
@@ -15,6 +17,18 @@ fn spec(id: u64, flips: Vec<(usize, bool)>, at_ms: u64) -> SessionSpec {
         submit_at: SimDuration::from_millis(at_ms),
         cancel_at: None,
     }
+}
+
+/// Runs `scenario` as one region on one thread with its control plane
+/// crashed at `crash` and restarted at `restart`.
+fn run_with_control_crash(
+    scenario: FleetScenario,
+    crash: SimTime,
+    restart: SimTime,
+) -> ShardReport {
+    let mut scn = ShardScenario::new(scenario, 1);
+    scn.crash_region = Some((0, crash, restart));
+    run_fleet_sharded(&scn, 1)
 }
 
 /// Every group holds exactly one of {Old, New} in the final configuration
@@ -33,12 +47,12 @@ fn control_plane_crash_restores_in_flight_and_queued_sessions() {
     // adapt barrier by t=6 ms (reset at ~1 ms, safe delay 5 ms). Session 2
     // (groups 1,2) overlaps on group 1 and is queued at t=1 ms. The
     // control plane dies at 6 ms and returns at 10 ms.
-    let mut scenario = FleetScenario::new(
+    let scenario = FleetScenario::new(
         3,
         vec![spec(1, vec![(0, true), (1, true)], 0), spec(2, vec![(1, false), (2, true)], 1)],
     );
-    scenario.crash_control = Some((SimTime::from_millis(6), SimTime::from_millis(10)));
-    let report = run_fleet(&scenario);
+    let report =
+        run_with_control_crash(scenario, SimTime::from_millis(6), SimTime::from_millis(10));
 
     assert_eq!(report.restores, 1, "exactly one crash/restore cycle");
     let restored: Vec<(u32, u32)> = report
@@ -70,7 +84,7 @@ fn control_plane_crash_restores_in_flight_and_queued_sessions() {
     assert_eq!(report.final_config, "100110");
 
     // The durable journal is a well-formed multi-session log.
-    let parsed = parse_session_journal(&report.journal_text).expect("journal parses");
+    let parsed = parse_session_journal(&report.journals[0].1).expect("journal parses");
     assert!(parsed.iter().any(|r| r.session.0 == 1));
     assert!(parsed.iter().any(|r| r.session.0 == 2));
 }
@@ -81,9 +95,9 @@ fn plan_cache_does_not_survive_a_control_plane_crash() {
     // mid-barrier. Journal replay re-plans from scratch: if the pre-crash
     // cache survived, the replay query would *hit* its own entry — the
     // restored plane must instead start cold, so the run sees only misses.
-    let mut scenario = FleetScenario::new(2, vec![spec(1, vec![(0, true), (1, true)], 0)]);
-    scenario.crash_control = Some((SimTime::from_millis(6), SimTime::from_millis(10)));
-    let report = run_fleet(&scenario);
+    let scenario = FleetScenario::new(2, vec![spec(1, vec![(0, true), (1, true)], 0)]);
+    let report =
+        run_with_control_crash(scenario, SimTime::from_millis(6), SimTime::from_millis(10));
 
     assert_eq!(report.restores, 1);
     assert!(report.session(1).unwrap().success, "results: {:?}", report.results);
@@ -105,10 +119,9 @@ fn plan_cache_does_not_survive_a_control_plane_crash() {
 fn crash_before_any_admission_replays_the_whole_scenario() {
     // The plane dies before the first submission timer fires; the restart
     // path must re-arm the scenario from scratch.
-    let mut scenario =
+    let scenario =
         FleetScenario::new(2, vec![spec(1, vec![(0, true)], 5), spec(2, vec![(1, true)], 6)]);
-    scenario.crash_control = Some((SimTime::from_millis(1), SimTime::from_millis(3)));
-    let report = run_fleet(&scenario);
+    let report = run_with_control_crash(scenario, SimTime::from_millis(1), SimTime::from_millis(3));
     assert_eq!(report.restores, 1);
     assert_eq!(report.succeeded(), 2, "results: {:?}", report.results);
     assert_eq!(report.final_config, "1010");
@@ -159,12 +172,12 @@ fn session_behind_an_open_breaker_terminates_with_a_journaled_outcome() {
     );
     // The journal records the rejection as a regular outcome, so a crashed
     // control plane never resurrects a session its breakers turned away.
-    let parsed = parse_session_journal(&report.journal_text).expect("journal parses");
+    let parsed = parse_session_journal(&report.journals[0].1).expect("journal parses");
     assert!(
         parsed.iter().any(|r| r.session.0 == 2
             && matches!(r.record, JournalRecord::Outcome { success: false, gave_up: false })),
         "journaled outcome for the rejected session:\n{}",
-        report.journal_text
+        report.journals[0].1
     );
     // Breaker accounting made it into the report.
     assert!(report.suppressed_sends >= 1, "open breaker absorbed at least one retransmission");
@@ -190,9 +203,11 @@ fn chaos_sweep_multi_session_crash_windows() {
         scenario.seed = seed;
         let crash_ms = 3 + seed % 7; // 3..=9 ms: spans queueing + barriers
         let restart_ms = crash_ms + 2 + seed % 5;
-        scenario.crash_control =
-            Some((SimTime::from_millis(crash_ms), SimTime::from_millis(restart_ms)));
-        let report = run_fleet(&scenario);
+        let report = run_with_control_crash(
+            scenario,
+            SimTime::from_millis(crash_ms),
+            SimTime::from_millis(restart_ms),
+        );
 
         assert_eq!(report.restores, 1, "seed {seed}");
         assert_eq!(report.succeeded(), 3, "seed {seed}: {:?}", report.results);
@@ -204,7 +219,7 @@ fn chaos_sweep_multi_session_crash_windows() {
         assert_eq!(ascending[4], '1', "seed {seed}: Old2 restored");
         assert_eq!(ascending[6], '1', "seed {seed}: Old3 restored");
         // Round-trip the durable journal through the text codec.
-        let parsed = parse_session_journal(&report.journal_text).expect("parses");
+        let parsed = parse_session_journal(&report.journals[0].1).expect("parses");
         assert!(!parsed.is_empty(), "seed {seed}");
         let overlap_serialized = {
             let s2 = report.session(2).unwrap();

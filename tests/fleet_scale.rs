@@ -71,7 +71,7 @@ fn hundred_group_fleet_runs_disjoint_sessions_concurrently() {
 
     // And the journal is a genuinely interleaved multi-session log.
     let mut tagged: Vec<u64> = Vec::new();
-    for line in report.journal_text.lines() {
+    for line in report.journals[0].1.lines() {
         if let Some(pos) = line.find("session=") {
             let tail = &line[pos + "session=".len()..];
             let id: u64 =
