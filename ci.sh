@@ -27,6 +27,11 @@ cargo test -q --workspace
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings)"
+# Broken intra-doc links (e.g. to a deleted or private item) only warn by
+# default; fail the gate on them instead.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> pinned chaos seeds (regression corpus + reproducibility)"
 # The sweep covers SADA_CHAOS_SEEDS random fault plans per intensity
 # (default 50) with the manager itself among the crash victims, and

@@ -3,13 +3,13 @@
 //!
 //! This is the generic driver used by examples and benches when the real
 //! application (the video system) is not needed: one [`ManagerActor`] plus
-//! one [`ScriptedAgent`] per process, wired over configurable links.
+//! one [`AgentArena`] holding a scripted agent per process, wired over
+//! configurable links.
 
 use sada_expr::Config;
 use sada_obs::Bus;
 use sada_proto::{
-    AgentTiming, BreakerConfig, JournalRecord, ManagerActor, Outcome, ProtoTiming, ScriptedAgent,
-    Wire,
+    AgentArena, AgentTiming, BreakerConfig, JournalRecord, ManagerActor, Outcome, ProtoTiming, Wire,
 };
 use sada_simnet::{ActorId, FaultPlan, LinkConfig, SimTime, Simulator};
 
@@ -108,12 +108,14 @@ pub fn run_adaptation(
     sim.set_bus(cfg.bus.clone());
     let n_proc = spec.model().process_count();
     let manager_id = ActorId::from_index(n_proc); // agents registered first
-    let mut agents = Vec::with_capacity(n_proc);
+    let mut arena = AgentArena::with_capacity(manager_id, cfg.bus.clone(), n_proc);
     for p in 0..n_proc {
-        let mut agent = ScriptedAgent::new(manager_id, cfg.agent_timing).with_bus(cfg.bus.clone());
-        agent.fail_to_reset = cfg.fail_to_reset.contains(&p);
-        agents.push(sim.add_actor(&format!("agent-{p}"), agent));
+        let member = arena.push_member(cfg.agent_timing);
+        arena.set_fail_to_reset(member, cfg.fail_to_reset.contains(&p));
     }
+    let arena = sim.add_arena(arena);
+    let agents: Vec<ActorId> =
+        (0..n_proc).map(|p| sim.add_arena_member(&format!("agent-{p}"), arena, p as u32)).collect();
     let mut mgr_actor = ManagerActor::<()>::new(
         cfg.timing,
         Box::new(spec.runtime_planner()),
@@ -133,10 +135,8 @@ pub fn run_adaptation(
     }
     sim.schedule_faults(&cfg.faults);
     sim.run();
-    let rejoins = agents
-        .iter()
-        .map(|&a| sim.actor::<ScriptedAgent>(a).expect("agent actor").rejoins_sent)
-        .sum();
+    let arena = sim.arena::<AgentArena>(arena).expect("agent arena");
+    let rejoins = (0..n_proc as u32).map(|m| arena.rejoins_sent(m)).sum();
     let m = sim.actor::<ManagerActor<()>>(manager).expect("manager actor");
     RunReport {
         outcome: m.outcome.clone().expect("manager must resolve every request"),
@@ -149,8 +149,8 @@ pub fn run_adaptation(
         rejoins,
         manager_restores: m.restores,
         journal: m.journal.clone(),
-        breaker_trips: m.breaker_trips,
-        suppressed_sends: m.suppressed_sends,
+        breaker_trips: m.guard().trips(),
+        suppressed_sends: m.guard().suppressed(),
     }
 }
 

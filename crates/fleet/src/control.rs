@@ -2,6 +2,7 @@
 //!
 //! The single-adaptation [`ManagerActor`](sada_proto::ManagerActor)
 //! serializes every request through one [`ManagerCore`]. The control plane
+//! shares its per-agent breaker and RTT wiring (a [`LinkGuard`]) but
 //! instead embeds **one core per admitted session** and multiplexes them
 //! over a shared wire: outgoing protocol traffic is stamped with the
 //! session's [`SessionId`], agents echo the stamp, and replies are routed
@@ -34,14 +35,15 @@ use sada_proto::{
     SessionRecord, Wire,
 };
 use sada_resilience::{
-    shed_victim, BreakerConfig, BreakerTransition, BulkheadConfig, CircuitBreaker, RetryMode,
-    RttEstimator,
+    shed_victim, BreakerConfig, BreakerTransition, BulkheadConfig, CircuitBreaker, LinkGuard,
+    RetryMode,
 };
 use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, TimerId};
 
 use crate::cache::{CacheNoteKind, PlanCache, PlanCacheStats};
 use crate::lock::ScopeLockManager;
 use crate::planner::ScopedLazyPlanner;
+use crate::shard::{fnv1a, FNV_BASIS};
 use crate::world::FleetWorld;
 
 /// One adaptation request the scenario will submit to the control plane.
@@ -117,8 +119,8 @@ struct ActiveSession {
     timers: HashMap<u64, (u64, TimerId)>,
 }
 
-/// The control plane as a simulated process (speaks `Wire<M>` like
-/// [`ManagerActor`](sada_proto::ManagerActor)).
+/// The control plane as a simulated process (speaks `Wire<M>` like the
+/// solo [`ManagerActor`](sada_proto::ManagerActor)).
 pub struct ControlActor<M = ()> {
     world: Rc<FleetWorld>,
     agents: Vec<ActorId>,
@@ -140,21 +142,17 @@ pub struct ControlActor<M = ()> {
     agent_epochs: HashMap<ActorId, u64>,
     active: BTreeMap<u64, ActiveSession>,
     locks: ScopeLockManager,
-    /// Per-agent circuit breakers (empty when the policy is off). Volatile:
-    /// a restored control plane re-learns which agents are sick.
-    breakers: Vec<CircuitBreaker>,
+    /// Per-agent circuit breakers and RTT estimators feeding adaptive retry
+    /// deadlines. Volatile: a restored control plane re-learns which agents
+    /// are sick (the guard's trip and suppressed-send counters survive).
+    guard: LinkGuard,
     /// Per-scope circuit breakers, created lazily on first failure
     /// evidence and keyed by [`ControlActor::scope_key`]. Volatile, like
     /// the per-agent set.
     scope_breakers: HashMap<u64, CircuitBreaker>,
-    /// Per-agent RTT estimators feeding adaptive retry deadlines. Volatile
-    /// for the same reason.
-    rtt: Vec<RttEstimator>,
     /// Last RTO reported per agent as a `TimeoutAdapted` event, so the bus
     /// only carries adaptations that moved the deadline by ≥ a quarter.
     last_rto: Vec<u64>,
-    /// First unanswered send per agent, for Karn-rule RTT sampling.
-    pending_since: HashMap<usize, SimTime>,
     /// True while applying effects produced by a protocol timeout — sends
     /// in that window are retransmissions, i.e. breaker failure evidence.
     in_timeout: bool,
@@ -203,13 +201,9 @@ pub struct ControlActor<M = ()> {
     /// Sessions rejected at admission behind an open breaker (diagnostics;
     /// survives restarts).
     pub rejected_count: u64,
-    /// Times any breaker tripped open (diagnostics; survives restarts).
-    pub breaker_trips: u64,
     /// Times any *scope* breaker tripped open (diagnostics; survives
     /// restarts).
     pub scope_breaker_trips: u64,
-    /// Sends refused by open breakers (diagnostics; survives restarts).
-    pub suppressed_sends: u64,
     /// Typed admission outcome per session that reached a decision. Treated
     /// as durable alongside `results`: every entry is backed by journaled
     /// records (`Request` for admissions, `Outcome` for sheds/rejections).
@@ -233,7 +227,7 @@ impl<M: Clone + 'static> ControlActor<M> {
             spec_by_id.entry(s.id).or_insert(ix);
         }
         let actor_to_agent = agents.iter().enumerate().map(|(ix, &a)| (a, ix)).collect();
-        let rtt = vec![RttEstimator::new(); agents.len()];
+        let guard = LinkGuard::new(agents.len(), None);
         let last_rto = vec![0; agents.len()];
         let locks = ScopeLockManager::with_capacity(
             world.universe.len() + world.model.process_count(),
@@ -253,11 +247,9 @@ impl<M: Clone + 'static> ControlActor<M> {
             agent_epochs: HashMap::new(),
             active: BTreeMap::new(),
             locks,
-            breakers: Vec::new(),
+            guard,
             scope_breakers: HashMap::new(),
-            rtt,
             last_rto,
-            pending_since: HashMap::new(),
             in_timeout: false,
             gate: Vec::new(),
             waiting: HashMap::new(),
@@ -277,9 +269,7 @@ impl<M: Clone + 'static> ControlActor<M> {
             infos: Vec::new(),
             shed_count: 0,
             rejected_count: 0,
-            breaker_trips: 0,
             scope_breaker_trips: 0,
-            suppressed_sends: 0,
             admissions: HashMap::new(),
             _marker: std::marker::PhantomData,
         }
@@ -294,21 +284,14 @@ impl<M: Clone + 'static> ControlActor<M> {
     /// Installs the overload-protection policy (breakers + bulkhead).
     pub fn with_resilience(mut self, r: FleetResilience) -> Self {
         self.resilience = r;
-        if let Some(cfg) = r.breaker {
-            self.breakers = (0..self.agents.len()).map(|_| CircuitBreaker::new(cfg)).collect();
-        }
+        self.guard = LinkGuard::new(self.agents.len(), r.breaker);
         self
     }
 
-    /// Total open time per agent breaker up to `now`, for agents that ever
-    /// tripped (dense agent index, microseconds).
-    pub fn breaker_open_us(&self, now: SimTime) -> Vec<(u32, u64)> {
-        self.breakers
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.trips() > 0)
-            .map(|(ix, b)| (ix as u32, b.open_time_us(now)))
-            .collect()
+    /// The per-agent breaker and RTT state (its trip and suppressed-send
+    /// counters survive restarts).
+    pub fn guard(&self) -> &LinkGuard {
+        &self.guard
     }
 
     /// Number of sessions currently in flight.
@@ -362,61 +345,26 @@ impl<M: Clone + 'static> ControlActor<M> {
         });
     }
 
-    fn emit_breaker(
-        &mut self,
-        ctx: &Context<'_, Wire<M>>,
-        session: u64,
-        agent: usize,
-        tr: BreakerTransition,
-    ) {
-        let agent = agent as u32;
-        let ev = match tr {
-            BreakerTransition::Opened { cooldown } => {
-                self.breaker_trips += 1;
-                FleetEvent::BreakerOpened { agent, cooldown_us: cooldown.as_micros() }
-            }
-            BreakerTransition::Probing => FleetEvent::BreakerProbed { agent },
-            BreakerTransition::Closed => FleetEvent::BreakerClosed { agent },
-        };
-        self.emit_fleet(ctx, session, ev);
-    }
-
-    /// Records an arrival from `agent`: an RTT sample when a send was
-    /// outstanding (Karn's rule — the timestamp of the first transmission),
-    /// and success evidence for its breaker. Runs for every current-epoch
-    /// message, including acks the owning core will discard as stale: a slow
-    /// agent whose answer arrives after its session already moved on still
-    /// teaches the estimator its true latency, so the *next* session on that
-    /// agent gets a deadline it can meet.
+    /// Records an arrival from `agent` with the link guard. Runs for every
+    /// current-epoch message, including acks the owning core will discard
+    /// as stale: a slow agent whose answer arrives after its session already
+    /// moved on still teaches the estimator its true latency, so the *next*
+    /// session on that agent gets a deadline it can meet.
     fn observe_arrival(&mut self, ctx: &Context<'_, Wire<M>>, agent: usize) {
-        if let Some(t0) = self.pending_since.remove(&agent) {
-            let sample = ctx.now().saturating_since(t0);
-            self.rtt[agent].observe(sample);
-            if self.timing.retry.mode == RetryMode::Adaptive {
-                if let (Some(srtt), Some(rto)) = (self.rtt[agent].srtt(), self.rtt[agent].rto()) {
-                    // Report only adaptations that moved the deadline by at
-                    // least a quarter relative to the last report.
-                    let (rto_us, last) = (rto.as_micros(), self.last_rto[agent]);
-                    if last == 0 || rto_us.abs_diff(last).saturating_mul(4) >= last {
-                        self.last_rto[agent] = rto_us;
-                        self.emit_fleet(
-                            ctx,
-                            self.agent_session.get(&agent).copied().unwrap_or(0),
-                            FleetEvent::TimeoutAdapted {
-                                agent: agent as u32,
-                                srtt_us: srtt.as_micros(),
-                                rto_us,
-                            },
-                        );
-                    }
-                }
+        let (sample, transition) = self.guard.on_arrival(agent, ctx.now());
+        let sid = self.agent_session.get(&agent).copied().unwrap_or(0);
+        if let Some(ev @ FleetEvent::TimeoutAdapted { rto_us, .. }) = sample {
+            // Report only adaptations that moved the deadline by at least a
+            // quarter relative to the last report.
+            let last = self.last_rto[agent];
+            let moved = last == 0 || rto_us.abs_diff(last).saturating_mul(4) >= last;
+            if self.timing.retry.mode == RetryMode::Adaptive && moved {
+                self.last_rto[agent] = rto_us;
+                self.emit_fleet(ctx, sid, ev);
             }
         }
-        if agent < self.breakers.len() {
-            if let Some(tr) = self.breakers[agent].on_success(ctx.now()) {
-                let sid = self.agent_session.get(&agent).copied().unwrap_or(0);
-                self.emit_breaker(ctx, sid, agent, tr);
-            }
+        if let Some(ev) = transition {
+            self.emit_fleet(ctx, sid, ev);
         }
     }
 
@@ -432,7 +380,7 @@ impl<M: Clone + 'static> ControlActor<M> {
             .scope_comps(&self.scenario[ix].flips)
             .iter()
             .filter_map(|&c| self.world.agent_for(c))
-            .filter_map(|a| self.rtt.get(a).and_then(RttEstimator::rto))
+            .filter_map(|a| self.guard.rto(a))
             .max();
         if let Some(sess) = self.active.get_mut(&session) {
             sess.core.set_timeout_hint(hint);
@@ -445,14 +393,7 @@ impl<M: Clone + 'static> ControlActor<M> {
     fn scope_key(&self, spec: &SessionSpec) -> u64 {
         let mut rs = self.resources_of(spec);
         rs.sort_unstable();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for r in rs {
-            for b in r.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        h
+        rs.iter().fold(FNV_BASIS, |h, r| fnv1a(h, &r.to_le_bytes()))
     }
 
     /// Backpressure hint attached to a shed: observed mean service time
@@ -498,71 +439,59 @@ impl<M: Clone + 'static> ControlActor<M> {
             .scope_comps(&spec.flips)
             .iter()
             .filter_map(|&c| self.world.agent_for(c))
-            .find(|&a| self.breakers.get(a).is_some_and(|b| b.blocks(now)))
+            .find(|&a| self.guard.blocks(a, now))
     }
 
-    /// Terminates a session at its admission instant because `agent`'s
-    /// breaker is open: journaled outcome, typed event, locks released —
-    /// the session fails fast instead of hanging on suppressed sends.
-    fn reject_gated(&mut self, ctx: &mut Context<'_, Wire<M>>, spec: &SessionSpec, agent: usize) {
+    /// Terminates session `sid` at its admission instant because an open
+    /// breaker gates its scope (`ev` says which): journaled outcome, typed
+    /// event, locks released — the session fails fast instead of hanging on
+    /// suppressed sends.
+    fn reject(
+        &mut self,
+        ctx: &mut Context<'_, Wire<M>>,
+        sid: u64,
+        ev: FleetEvent,
+        warning: String,
+    ) {
+        self.conclude_unrun(ctx, sid, ev, warning);
+        self.rejected_count += 1;
+        self.admissions.insert(sid, Admission::Rejected);
+        let granted = self.locks.release(sid);
+        self.admit_all_granted(ctx, granted);
+    }
+
+    /// Ends a session that never ran: a journaled unsuccessful (not given
+    /// up) outcome, `ev` on the bus, its completion instant, and a failed
+    /// result carrying `warning` over the unchanged fleet configuration.
+    fn conclude_unrun(
+        &mut self,
+        ctx: &Context<'_, Wire<M>>,
+        sid: u64,
+        ev: FleetEvent,
+        warning: String,
+    ) {
         self.journal.push(SessionRecord {
-            session: SessionId(spec.id),
+            session: SessionId(sid),
             record: JournalRecord::Outcome { success: false, gave_up: false },
         });
-        self.emit_fleet(
-            ctx,
-            spec.id,
-            FleetEvent::SessionRejected { session: spec.id, agent: agent as u32 },
-        );
-        self.completed_at.insert(spec.id, ctx.now());
+        self.emit_fleet(ctx, sid, ev);
+        self.completed_at.insert(sid, ctx.now());
         self.results.insert(
-            spec.id,
+            sid,
             Outcome {
                 success: false,
                 gave_up: false,
                 final_config: self.fleet_config.clone(),
                 steps_committed: 0,
-                warnings: vec![format!("rejected: agent {agent} behind an open circuit breaker")],
+                warnings: vec![warning],
             },
         );
-        self.rejected_count += 1;
-        self.admissions.insert(spec.id, Admission::Rejected);
-        let granted = self.locks.release(spec.id);
-        for g in granted {
-            if let Some(gix) = self.spec_ix(g) {
-                self.admit(ctx, gix);
-            }
-        }
     }
 
-    /// Terminates a session at its admission instant because its *scope*
-    /// breaker is open — the whole collaborative set has been flapping, so
-    /// new work on it fails fast while disjoint scopes (even ones sharing
-    /// an agent) keep admitting.
-    fn reject_scope_gated(&mut self, ctx: &mut Context<'_, Wire<M>>, spec: &SessionSpec, key: u64) {
-        self.journal.push(SessionRecord {
-            session: SessionId(spec.id),
-            record: JournalRecord::Outcome { success: false, gave_up: false },
-        });
-        self.emit_fleet(ctx, spec.id, FleetEvent::ScopeRejected { session: spec.id, scope: key });
-        self.completed_at.insert(spec.id, ctx.now());
-        self.results.insert(
-            spec.id,
-            Outcome {
-                success: false,
-                gave_up: false,
-                final_config: self.fleet_config.clone(),
-                steps_committed: 0,
-                warnings: vec![format!("rejected: scope {key:#018x} behind an open breaker")],
-            },
-        );
-        self.rejected_count += 1;
-        self.admissions.insert(spec.id, Admission::Rejected);
-        let granted = self.locks.release(spec.id);
-        for g in granted {
-            if let Some(gix) = self.spec_ix(g) {
-                self.admit(ctx, gix);
-            }
+    /// Admits every session a lock release or cancellation just granted.
+    fn admit_all_granted(&mut self, ctx: &mut Context<'_, Wire<M>>, granted: Vec<u64>) {
+        for sid in granted {
+            self.admit_granted(ctx, sid);
         }
     }
 
@@ -583,32 +512,18 @@ impl<M: Clone + 'static> ControlActor<M> {
         self.waiting.remove(&victim);
         self.gate.retain(|&g| g != victim);
         let granted = self.locks.cancel(victim).unwrap_or_default();
-        self.journal.push(SessionRecord {
-            session: SessionId(victim),
-            record: JournalRecord::Outcome { success: false, gave_up: false },
-        });
         let waited_us = ctx
             .now()
             .as_micros()
             .saturating_sub(self.submitted_at.get(&victim).map_or(0, |t| t.as_micros()));
+        // The hint reads `completed_at`, so it is taken before the victim's
+        // own completion instant lands there.
         let retry_after_us = self.retry_after_hint();
-        self.emit_fleet(
+        self.conclude_unrun(
             ctx,
             victim,
             FleetEvent::SessionShed { session: victim, waited_us, retry_after_us },
-        );
-        self.completed_at.insert(victim, ctx.now());
-        self.results.insert(
-            victim,
-            Outcome {
-                success: false,
-                gave_up: false,
-                final_config: self.fleet_config.clone(),
-                steps_committed: 0,
-                warnings: vec![format!(
-                    "shed by bulkhead admission control; retry after {retry_after_us}us"
-                )],
-            },
+            format!("shed by bulkhead admission control; retry after {retry_after_us}us"),
         );
         self.shed_count += 1;
         self.admissions.insert(victim, Admission::Shed { retry_after_us });
@@ -616,11 +531,7 @@ impl<M: Clone + 'static> ControlActor<M> {
         // behind it; they hold their scopes now, so admit them (the
         // in-flight bound is enforced at every *admission decision*, not
         // retroactively against lock grants).
-        for g in granted {
-            if let Some(gix) = self.spec_ix(g) {
-                self.admit(ctx, gix);
-            }
-        }
+        self.admit_all_granted(ctx, granted);
     }
 
     /// Admits gated sessions while in-flight capacity is available (highest
@@ -675,27 +586,13 @@ impl<M: Clone + 'static> ControlActor<M> {
         for eff in effects {
             match eff {
                 ManagerEffect::Send { agent, msg } => {
-                    // A send emitted while handling a timeout is a
-                    // retransmission: failure evidence for the breaker.
-                    if self.in_timeout && agent < self.breakers.len() {
-                        if let Some(tr) = self.breakers[agent].on_failure(ctx.now()) {
-                            self.emit_breaker(ctx, session, agent, tr);
-                        }
+                    let (allowed, events) = self.guard.gate_send(agent, ctx.now(), self.in_timeout);
+                    for ev in events.into_iter().flatten() {
+                        self.emit_fleet(ctx, session, ev);
                     }
-                    if agent < self.breakers.len() {
-                        let (ok, tr) = self.breakers[agent].allow_send(ctx.now());
-                        if let Some(tr) = tr {
-                            self.emit_breaker(ctx, session, agent, tr);
-                        }
-                        if !ok {
-                            // The breaker absorbs the retry; the session's
-                            // own timeout ladder keeps running and journals
-                            // an outcome (rollback or give-up) either way.
-                            self.suppressed_sends += 1;
-                            continue;
-                        }
+                    if !allowed {
+                        continue;
                     }
-                    self.pending_since.entry(agent).or_insert_with(|| ctx.now());
                     self.agent_session.insert(agent, session);
                     ctx.send(
                         self.agents[agent],
@@ -812,7 +709,9 @@ impl<M: Clone + 'static> ControlActor<M> {
         // includes a gated agent would only hang on suppressed sends while
         // holding its locks, convoying every scope it shares a lock with.
         if let Some(agent) = self.scope_gated(ctx.now(), &spec) {
-            self.reject_gated(ctx, &spec, agent);
+            let ev = FleetEvent::SessionRejected { session: spec.id, agent: agent as u32 };
+            let warning = format!("rejected: agent {agent} behind an open circuit breaker");
+            self.reject(ctx, spec.id, ev, warning);
             return;
         }
         // Per-scope breaker: admission doubles as the half-open probe — one
@@ -827,7 +726,12 @@ impl<M: Clone + 'static> ControlActor<M> {
                     self.emit_scope_breaker(ctx, spec.id, key, tr);
                 }
                 if !ok {
-                    self.reject_scope_gated(ctx, &spec, key);
+                    // The whole collaborative set has been flapping, so new
+                    // work on it fails fast while disjoint scopes (even ones
+                    // sharing an agent) keep admitting.
+                    let ev = FleetEvent::ScopeRejected { session: spec.id, scope: key };
+                    let warning = format!("rejected: scope {key:#018x} behind an open breaker");
+                    self.reject(ctx, spec.id, ev, warning);
                     return;
                 }
             }
@@ -904,11 +808,7 @@ impl<M: Clone + 'static> ControlActor<M> {
         }
         self.agent_session.retain(|_, s| *s != session);
         let granted = self.locks.release(session);
-        for sid in granted {
-            if let Some(ix) = self.spec_ix(sid) {
-                self.admit(ctx, ix);
-            }
-        }
+        self.admit_all_granted(ctx, granted);
         // Freed in-flight capacity: pull gated sessions in.
         self.drain_gate(ctx);
     }
@@ -932,27 +832,13 @@ impl<M: Clone + 'static> ControlActor<M> {
         self.waiting.remove(&sid);
         // A withdrawn request resolves unsuccessfully but *not* given up:
         // nothing is awaiting the user, the requester simply left.
-        self.journal.push(SessionRecord {
-            session: SessionId(sid),
-            record: JournalRecord::Outcome { success: false, gave_up: false },
-        });
-        self.emit_fleet(ctx, sid, FleetEvent::SessionCancelled { session: sid });
-        self.completed_at.insert(sid, ctx.now());
-        self.results.insert(
+        self.conclude_unrun(
+            ctx,
             sid,
-            Outcome {
-                success: false,
-                gave_up: false,
-                final_config: self.fleet_config.clone(),
-                steps_committed: 0,
-                warnings: vec!["cancelled while queued".into()],
-            },
+            FleetEvent::SessionCancelled { session: sid },
+            "cancelled while queued".into(),
         );
-        for g in granted {
-            if let Some(gix) = self.spec_ix(g) {
-                self.admit(ctx, gix);
-            }
-        }
+        self.admit_all_granted(ctx, granted);
     }
 
     /// Routes an incoming protocol message to the owning session's core.
@@ -1048,25 +934,11 @@ impl<M: Clone + 'static> ControlActor<M> {
         if self.results.contains_key(&sid) {
             return;
         }
-        self.journal.push(SessionRecord {
-            session: SessionId(sid),
-            record: JournalRecord::Outcome { success: false, gave_up: false },
-        });
-        self.emit_fleet(
+        self.conclude_unrun(
             ctx,
             sid,
             FleetEvent::SessionDone { session: sid, success: false, gave_up: false },
-        );
-        self.completed_at.insert(sid, ctx.now());
-        self.results.insert(
-            sid,
-            Outcome {
-                success: false,
-                gave_up: false,
-                final_config: self.fleet_config.clone(),
-                steps_committed: 0,
-                warnings: vec![warning],
-            },
+            warning,
         );
     }
 }
@@ -1131,16 +1003,10 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ControlActor<M> {
         // Breakers, estimators, and the waiting bookkeeping are process
         // state too: the restored plane re-learns the network and rebuilds
         // its queues from the journal.
-        self.pending_since.clear();
+        self.guard.on_crash();
         self.gate.clear();
         self.waiting.clear();
-        for e in &mut self.rtt {
-            *e = RttEstimator::new();
-        }
         self.last_rto.iter_mut().for_each(|r| *r = 0);
-        if let Some(cfg) = self.resilience.breaker {
-            self.breakers = (0..self.agents.len()).map(|_| CircuitBreaker::new(cfg)).collect();
-        }
         self.scope_breakers.clear();
         // The plan cache dies with the process: the restored incarnation
         // starts cold, so journal replay never leans on pre-crash plans.

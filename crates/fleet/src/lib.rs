@@ -46,7 +46,6 @@
 //!   one [`ShardReport`]: per-session latencies, peak concurrency, the
 //!   merged event stream and its fingerprint, and per-shard journals.
 
-mod arena;
 mod cache;
 mod control;
 mod driver;
@@ -56,7 +55,6 @@ mod planner;
 mod shard;
 mod world;
 
-pub use arena::AgentArena;
 pub use cache::{CacheNote, CacheNoteKind, CachedPlan, PlanCache, PlanCacheStats, ScopeNormalizer};
 pub use control::{Admission, ControlActor, FleetResilience, SessionSpec};
 pub use driver::{disjoint_wave, run_fleet, FleetScenario, SessionResult};

@@ -45,7 +45,9 @@ use std::time::Instant;
 
 use sada_expr::CompId;
 use sada_obs::{encode_event_into, Bus, Event, FleetEvent, Payload, RingSink};
-use sada_proto::{encode_global_journal, encode_session_journal, AgentTiming, GlobalRecord, Wire};
+use sada_proto::{
+    encode_global_journal, encode_session_journal, AgentArena, AgentTiming, GlobalRecord, Wire,
+};
 use sada_resilience::{jitter_us, RetryPolicy, RttEstimator};
 use sada_simnet::{
     Actor, ActorId, Context, LinkConfig, NetStats, SimDuration, SimTime, Simulator, TimerId,
@@ -65,8 +67,17 @@ pub const DEFAULT_REGIONS: usize = 8;
 /// — while the rest get decorrelated streams.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Continues the FNV-1a hash `h` over `bytes`, one step per byte.
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
 
 /// A sharded fleet experiment: the underlying scenario plus the logical
 /// partition, crash faults targeting one region and/or the global tier, and
@@ -1521,7 +1532,7 @@ fn build_endpoint(
     let relay_id = ActorId::from_index(procs + 1);
     emit_domain_tag(&sharded, &world, control_id);
     let mut agents = Vec::with_capacity(procs);
-    let mut arena = crate::arena::AgentArena::with_capacity(control_id, sharded.clone(), procs);
+    let mut arena = AgentArena::with_capacity(control_id, sharded.clone(), procs);
     for p in 0..procs {
         let timing = match scn.slow_agents.iter().find(|&&(ix, _)| ix == p) {
             Some(&(_, factor)) => scale_timing(AgentTiming::default(), factor),
@@ -2041,10 +2052,10 @@ fn distill_endpoint(ep: Endpoint) -> EndpointOutcome {
         cache: ctl.cache_stats(),
         shed: ctl.shed_count,
         rejected: ctl.rejected_count,
-        breaker_trips: ctl.breaker_trips,
+        breaker_trips: ctl.guard().trips(),
         scope_breaker_trips: ctl.scope_breaker_trips,
-        suppressed_sends: ctl.suppressed_sends,
-        breaker_open_us: ctl.breaker_open_us(ep.sim.now()),
+        suppressed_sends: ctl.guard().suppressed(),
+        breaker_open_us: ctl.guard().breaker_open_us(ep.sim.now()),
         retransmits: fabric_counters.0,
         abandoned: fabric_counters.1,
         orphaned_releases: fabric_counters.2,
@@ -2183,10 +2194,7 @@ pub fn fingerprint_events(events: &[Event]) -> u64 {
         line.clear();
         encode_event_into(&mut line, ev);
         line.push('\n');
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+        h = fnv1a(h, line.as_bytes());
     }
     h
 }

@@ -1,40 +1,85 @@
-//! Struct-of-arrays agent arena: every scripted agent in a fleet run packed
+//! The scripted agent shell: every simulated agent process of a run packed
 //! into parallel flat vectors behind one boxed [`ArenaActor`].
 //!
-//! [`AgentArena`] is a member-indexed transliteration of
-//! [`ScriptedAgent`](sada_proto::ScriptedAgent): the same
-//! [`AgentCore`] state machine, the same timer tags, the same send and
-//! bus-emission order, so a fleet driven through the arena produces
-//! bit-for-bit the journals and event streams the per-box agents produced.
-//! What changes is memory layout and registration cost — a 100k-group fleet
-//! holds its per-agent state in a handful of contiguous allocations instead
-//! of 100k separately boxed actors, and the simulator dispatches into one
-//! vtable for all of them.
+//! [`AgentArena`] drives one [`AgentCore`] per member: it reaches the safe
+//! state, performs in-actions, resumes and rolls back after fixed
+//! [`AgentTiming`] delays, and can be told to exhibit the paper's
+//! fail-to-reset failure. Solo adaptations register one arena with a member
+//! per process; fleet runs register one arena per endpoint. Either way the
+//! per-agent state lives in a handful of contiguous allocations and the
+//! simulator dispatches into one vtable for all members.
 //!
-//! The arena deliberately omits the two `ScriptedAgent` knobs fleet drivers
-//! never set (`fail_to_reset`, custom reannounce policies); protocol-level
-//! failure tests keep using the solo agent.
+//! Under fault injection each member models the volatile-uncommitted crash
+//! model: a crash destroys the step in progress (an applied-but-uncommitted
+//! in-action is recorded as evaporated in [`AgentArena::applied`]) while
+//! completed steps survive on durable storage; the restart bumps the
+//! member's epoch and announces [`ProtoMsg::Rejoin`] to the manager,
+//! retransmitting until it is resynchronized.
 
 use sada_obs::{AgentStateTag, Bus, Event, Payload, ProtoEvent, SimTime};
 use sada_plan::ActionId;
-use sada_proto::{
-    agent_state_tag, AgentCore, AgentEffect, AgentEvent, AgentState, AgentTiming, LocalAction,
-    ProtoMsg, ReannouncePolicy, SessionId, Wire, TAG_ACT, TAG_REJOIN, TAG_RESUME, TAG_ROLLBACK,
-    TAG_SAFE,
-};
-use sada_simnet::{ActorId, ArenaActor, Context};
+use sada_resilience::ReannouncePolicy;
+use sada_simnet::{ActorId, ArenaActor, Context, SimDuration};
 
-/// All scripted agents of one fleet run, stored as parallel vectors and
-/// addressed by dense member index (`member == process index` in the fleet
-/// drivers). Behaviourally identical to a `ScriptedAgent` per process.
+use crate::agent::{state_tag, AgentCore, AgentEffect, AgentEvent, AgentState};
+use crate::messages::{LocalAction, ProtoMsg, SessionId, Wire};
+
+/// How long each local operation takes on an arena member.
+#[derive(Debug, Clone, Copy)]
+pub struct AgentTiming {
+    /// Delay from `reset` to the safe state (packet boundary + drain).
+    pub safe_delay: SimDuration,
+    /// Extra delay when the action's global safe condition requires
+    /// draining in-flight traffic (the paper's expensive compound actions).
+    pub drain_extra: SimDuration,
+    /// Duration of the structural in-action.
+    pub act_delay: SimDuration,
+    /// Delay to restore full operation.
+    pub resume_delay: SimDuration,
+    /// Duration of a rollback.
+    pub rollback_delay: SimDuration,
+}
+
+impl Default for AgentTiming {
+    fn default() -> Self {
+        AgentTiming {
+            safe_delay: SimDuration::from_millis(5),
+            drain_extra: SimDuration::from_millis(25),
+            act_delay: SimDuration::from_millis(2),
+            resume_delay: SimDuration::from_millis(1),
+            rollback_delay: SimDuration::from_millis(2),
+        }
+    }
+}
+
+/// Timer tag for reaching the safe state.
+const TAG_SAFE: u64 = 1;
+/// Timer tag for completing the structural in-action.
+const TAG_ACT: u64 = 2;
+/// Timer tag for restoring full operation.
+const TAG_RESUME: u64 = 3;
+/// Timer tag for completing a rollback.
+const TAG_ROLLBACK: u64 = 4;
+/// Timer tag for retransmitting a post-restart `Rejoin` announcement.
+const TAG_REJOIN: u64 = 5;
+
+/// Scripted agents reporting to one manager, stored as parallel vectors and
+/// addressed by dense member index (`member == process index` in the
+/// drivers).
 pub struct AgentArena {
     manager: ActorId,
     bus: Bus,
-    reannounce: ReannouncePolicy,
     timings: Vec<AgentTiming>,
+    /// Members that report `fail to reset` instead of reaching their safe
+    /// state (a long critical communication segment).
+    fail_to_reset: Vec<bool>,
     cores: Vec<AgentCore>,
     epochs: Vec<u64>,
     manager_epochs: Vec<u64>,
+    /// Last session seen on incoming protocol traffic; echoed on every
+    /// outgoing message (and stamped on bus events) so a multi-session
+    /// control plane can route the member's replies. Stays
+    /// [`SessionId::SOLO`] under a single-session manager.
     sessions: Vec<SessionId>,
     rejoin_budgets: Vec<u32>,
     pending_actions: Vec<Option<LocalAction>>,
@@ -57,8 +102,8 @@ impl AgentArena {
         AgentArena {
             manager,
             bus,
-            reannounce: ReannouncePolicy::default(),
             timings: Vec::with_capacity(members),
+            fail_to_reset: Vec::with_capacity(members),
             cores: Vec::with_capacity(members),
             epochs: Vec::with_capacity(members),
             manager_epochs: Vec::with_capacity(members),
@@ -77,6 +122,7 @@ impl AgentArena {
     pub fn push_member(&mut self, timing: AgentTiming) -> u32 {
         let member = self.timings.len() as u32;
         self.timings.push(timing);
+        self.fail_to_reset.push(false);
         self.cores.push(AgentCore::new());
         self.epochs.push(0);
         self.manager_epochs.push(0);
@@ -90,6 +136,12 @@ impl AgentArena {
         member
     }
 
+    /// Makes `member` report `fail to reset` instead of reaching its safe
+    /// state (after the same delay reaching it would have taken).
+    pub fn set_fail_to_reset(&mut self, member: u32, fail: bool) {
+        self.fail_to_reset[member as usize] = fail;
+    }
+
     /// Number of members.
     pub fn len(&self) -> usize {
         self.timings.len()
@@ -100,7 +152,8 @@ impl AgentArena {
         self.timings.is_empty()
     }
 
-    /// Forward/rollback structural changes `member` actually applied.
+    /// Forward (`true`) and rollback (`false`) structural changes `member`
+    /// actually applied, in order — the ground truth tests compare against.
     pub fn applied(&self, member: u32) -> &[(ActionId, bool)] {
         &self.applied[member as usize]
     }
@@ -113,6 +166,11 @@ impl AgentArena {
     /// `Rejoin` announcements `member` put on the wire.
     pub fn rejoins_sent(&self, member: u32) -> u64 {
         self.rejoins_sent[member as usize]
+    }
+
+    /// `member`'s incarnation number (0 until its first crash/restart).
+    pub fn epoch(&self, member: u32) -> u64 {
+        self.epochs[member as usize]
     }
 
     /// `member`'s state machine (for assertions).
@@ -130,7 +188,7 @@ impl AgentArena {
                 msg: ProtoMsg::Rejoin { last_completed: self.cores[m].last_completed() },
             },
         );
-        ctx.set_timer(self.reannounce.period, TAG_REJOIN);
+        ctx.set_timer(ReannouncePolicy::default().period, TAG_REJOIN);
     }
 
     fn apply<M: Clone + 'static>(
@@ -154,6 +212,10 @@ impl AgentArena {
                 ),
                 AgentEffect::PreAction(_) => {}
                 AgentEffect::BeginReset(la) => {
+                    // Reaching the safe state takes time — more when the
+                    // global safe condition demands draining; a
+                    // fail-to-reset agent discovers after the same delay
+                    // that it cannot.
                     let delay = if la.needs_global_drain {
                         self.timings[m].safe_delay + self.timings[m].drain_extra
                     } else {
@@ -192,11 +254,16 @@ impl<M: Clone + 'static> ArenaActor<Wire<M>> for AgentArena {
                 return; // residue from a previous manager incarnation
             }
             self.manager_epochs[m] = epoch;
+            // Adopt the sender's session so replies (and this member's bus
+            // events) are tagged with the adaptation they belong to.
             self.sessions[m] = session;
             let eff = self.cores[m].on_event(AgentEvent::Msg(p));
             self.apply(m, ctx, eff);
             if self.cores[m].state() != AgentState::Running {
-                // Re-engaged: the rejoin announcement has served its purpose.
+                // The manager has re-engaged this incarnation: the rejoin
+                // announcement has served its purpose. (A Resume ignored in
+                // the running state does NOT count — that is exactly the
+                // lost-rejoin divergence the retransmissions exist for.)
                 self.rejoin_budgets[m] = 0;
             }
         }
@@ -205,6 +272,9 @@ impl<M: Clone + 'static> ArenaActor<Wire<M>> for AgentArena {
     fn on_timer(&mut self, member: u32, ctx: &mut Context<'_, Wire<M>>, tag: u64) {
         let m = member as usize;
         if tag == TAG_REJOIN {
+            // Keep announcing until the manager engages us (we leave the
+            // running state) or the budget runs out; after that, recovery
+            // falls back to the manager's ordinary timeout ladder.
             if self.rejoin_budgets[m] > 0 && self.cores[m].state() == AgentState::Running {
                 self.rejoin_budgets[m] -= 1;
                 self.send_rejoin(m, ctx);
@@ -212,9 +282,12 @@ impl<M: Clone + 'static> ArenaActor<Wire<M>> for AgentArena {
             return;
         }
         let ev = match tag {
+            TAG_SAFE if self.fail_to_reset[m] => AgentEvent::CannotReset,
             TAG_SAFE => AgentEvent::SafeReached,
             TAG_ACT => {
                 if let Some(la) = self.pending_actions[m].take() {
+                    // The structural change happens exactly here — atomically
+                    // with respect to the (blocked) data path.
                     self.applied[m].push((la.action, true));
                 }
                 AgentEvent::InActionDone
@@ -222,6 +295,8 @@ impl<M: Clone + 'static> ArenaActor<Wire<M>> for AgentArena {
             TAG_RESUME => AgentEvent::ResumeFinished,
             TAG_ROLLBACK => {
                 if let Some(la) = self.pending_rollbacks[m].take() {
+                    // `Some` means a forward change was applied and must be
+                    // recorded as undone.
                     self.applied[m].push((la.action, false));
                 }
                 AgentEvent::RollbackFinished
@@ -236,7 +311,8 @@ impl<M: Clone + 'static> ArenaActor<Wire<M>> for AgentArena {
         let m = member as usize;
         self.crashes[m] += 1;
         // Volatile-uncommitted model: an applied-but-uncommitted structural
-        // change evaporates with the process image.
+        // change evaporates with the process image. Record it as undone so
+        // the ground-truth replay sees what a fresh process image contains.
         if let Some(la) = self.cores[m].uncommitted_action() {
             self.applied[m].push((la.action, false));
         }
@@ -245,24 +321,28 @@ impl<M: Clone + 'static> ArenaActor<Wire<M>> for AgentArena {
     }
 
     fn on_restart(&mut self, member: u32, ctx: &mut Context<'_, Wire<M>>) {
+        // New incarnation: only durable state (completed steps) survives.
         let m = member as usize;
         self.epochs[m] += 1;
         let prev = self.cores[m].state();
         self.cores[m] = AgentCore::restore(self.cores[m].last_completed());
+        // The crash snapped the state machine back to Running without an
+        // ordinary transition; emit one so per-phase interval integration
+        // closes the dead incarnation's phase at the restart instant.
         if prev != AgentState::Running {
             self.bus.scoped(self.sessions[m].0).publish(
                 ctx.now(),
                 ctx.self_id().index() as u32,
                 || {
                     Payload::Proto(ProtoEvent::AgentState {
-                        from: agent_state_tag(prev),
+                        from: state_tag(prev),
                         to: AgentStateTag::Running,
                         step: None,
                     })
                 },
             );
         }
-        self.rejoin_budgets[m] = self.reannounce.budget;
+        self.rejoin_budgets[m] = ReannouncePolicy::default().budget;
         self.send_rejoin(m, ctx);
     }
 }

@@ -17,8 +17,10 @@
 //!   the user.
 //! * [`SagPlanner`] — plugs the `sada-plan` SAG + Yen ranking into the
 //!   manager's re-planning interface.
-//! * [`ManagerActor`] / [`ScriptedAgent`] — simnet adapters used by the
-//!   protocol tests, benches, and (for the manager) the video case study.
+//! * [`ManagerActor`] / [`AgentArena`] — simnet adapters: the manager
+//!   (reused by the video case study) and the one scripted agent shell,
+//!   which holds every scripted agent of a solo run or a fleet endpoint as
+//!   a member of one arena actor.
 //!
 //! ## Crash faults and recovery
 //!
@@ -61,6 +63,7 @@
 //! [`SafetyAuditor`]: sada_model::SafetyAuditor
 
 mod agent;
+mod arena;
 mod journal;
 mod manager;
 #[cfg(test)]
@@ -71,6 +74,7 @@ mod relay;
 mod sim;
 
 pub use agent::{state_tag as agent_state_tag, AgentCore, AgentEffect, AgentEvent, AgentState};
+pub use arena::{AgentArena, AgentTiming};
 pub use journal::{
     encode_global_journal, encode_journal, encode_session_journal, parse_global_journal,
     parse_journal, parse_session_journal, GlobalRecord, JournalRecord, SessionRecord,
@@ -82,10 +86,7 @@ pub use manager::{
 pub use messages::{LocalAction, ProtoMsg, SessionId, StepId, Wire};
 pub use plan_adapter::SagPlanner;
 pub use relay::RelayActor;
-pub use sim::{
-    AgentTiming, ManagerActor, ScriptedAgent, TAG_ACT, TAG_REJOIN, TAG_RESUME, TAG_ROLLBACK,
-    TAG_SAFE,
-};
+pub use sim::ManagerActor;
 // The retry/breaker policy vocabulary is owned by the resilience crate;
 // re-exported here so protocol embedders configure timing from one import.
 pub use sada_resilience::{

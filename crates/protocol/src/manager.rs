@@ -1082,8 +1082,8 @@ impl ManagerCore {
     ///   `RollbackIssued` last): which acks the dead incarnation had already
     ///   collected is unknowable, so the barrier is reset conservatively to
     ///   the full participant set and a **reconciliation round** begins:
-    ///   [`ProtoMsg::QueryState`] probes every participant, and
-    ///   [`Self::on_state_report`] folds each answer back into the ordinary
+    ///   [`ProtoMsg::QueryState`] probes every participant, and each
+    ///   [`ProtoMsg::StateReport`] answer is folded back into the ordinary
     ///   barrier arms. The phase timer is armed before any report arrives,
     ///   so lost probes degrade into the existing retransmission ladder
     ///   rather than a hang.

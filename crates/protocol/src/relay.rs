@@ -56,16 +56,27 @@ impl<M: Clone + 'static> Actor<Wire<M>> for RelayActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{AgentArena, AgentTiming};
     use crate::manager::ProtoTiming;
     use crate::plan_adapter::SagPlanner;
-    use crate::sim::{AgentTiming, ManagerActor, ScriptedAgent};
+    use crate::sim::ManagerActor;
     use sada_expr::{enumerate, InvariantSet, Universe};
     use sada_model::SystemModel;
+    use sada_obs::Bus;
     use sada_plan::{Action, Sag};
-    use sada_simnet::{LinkConfig, SimDuration, Simulator};
+    use sada_simnet::{ArenaId, LinkConfig, SimDuration, Simulator};
     use std::collections::HashSet;
 
     type Msg = Wire<()>;
+
+    /// One scripted agent reporting to `manager`, registered under `name`
+    /// as the only member of its own arena.
+    fn add_agent(sim: &mut Simulator<Msg>, name: &str, manager: ActorId) -> (ActorId, ArenaId) {
+        let mut arena = AgentArena::new(manager, Bus::new());
+        arena.push_member(AgentTiming::default());
+        let arena = sim.add_arena(arena);
+        (sim.add_arena_member(name, arena, 0), arena)
+    }
 
     /// One-component world planned over a single replace action.
     fn planner() -> (Universe, SagPlanner) {
@@ -88,11 +99,8 @@ mod tests {
         let mut sim: Simulator<Msg> = Simulator::new(3);
         sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(4)));
         // Topology: manager(2) <-> relay(1) <-> agent(0).
-        let agent = sim.add_actor(
-            "agent",
-            // The agent believes the relay is its manager.
-            ScriptedAgent::new(sada_simnet::ActorId::from_index(1), AgentTiming::default()),
-        );
+        // The agent believes the relay is its manager.
+        let (agent, arena) = add_agent(&mut sim, "agent", ActorId::from_index(1));
         let relay =
             sim.add_actor("relay", RelayActor::new(sada_simnet::ActorId::from_index(2), agent));
         let manager = sim.add_actor(
@@ -112,23 +120,16 @@ mod tests {
         let r = sim.actor::<RelayActor>(relay).unwrap();
         assert!(r.forwarded_down >= 1, "reset went down the tree");
         assert!(r.forwarded_up >= 2, "acks came back up");
-        let agent_state = sim.actor::<ScriptedAgent>(agent).unwrap();
-        assert_eq!(agent_state.applied.len(), 1);
+        assert_eq!(sim.arena::<AgentArena>(arena).unwrap().applied(0).len(), 1);
     }
 
     #[test]
     fn relay_ignores_unrelated_sources_and_app_traffic() {
         let mut sim: Simulator<Msg> = Simulator::new(0);
-        let sink = sim.add_actor(
-            "sink",
-            ScriptedAgent::new(sada_simnet::ActorId::from_index(9), AgentTiming::default()),
-        );
-        let up = sim.add_actor(
-            "up",
-            ScriptedAgent::new(sada_simnet::ActorId::from_index(9), AgentTiming::default()),
-        );
+        let (sink, _) = add_agent(&mut sim, "sink", ActorId::from_index(9));
+        let (up, _) = add_agent(&mut sim, "up", ActorId::from_index(9));
         let relay = sim.add_actor("relay", RelayActor::new(up, sink));
-        let stranger = sim.add_actor("stranger", ScriptedAgent::new(relay, AgentTiming::default()));
+        let (stranger, _) = add_agent(&mut sim, "stranger", relay);
         // Stranger's message reaches the relay but goes nowhere.
         sim.inject(
             stranger,
@@ -154,14 +155,8 @@ mod tests {
         // protocol traffic: it must traverse spanning-tree edges unchanged,
         // or a manager behind a relay could never reconcile after failover.
         let mut sim: Simulator<Msg> = Simulator::new(0);
-        let down = sim.add_actor(
-            "down",
-            ScriptedAgent::new(sada_simnet::ActorId::from_index(9), AgentTiming::default()),
-        );
-        let up = sim.add_actor(
-            "up",
-            ScriptedAgent::new(sada_simnet::ActorId::from_index(9), AgentTiming::default()),
-        );
+        let (down, _) = add_agent(&mut sim, "down", ActorId::from_index(9));
+        let (up, _) = add_agent(&mut sim, "up", ActorId::from_index(9));
         let relay = sim.add_actor("relay", RelayActor::new(up, down));
         sim.inject(
             up,
@@ -202,7 +197,7 @@ mod tests {
         let mut sim: Simulator<Msg> = Simulator::new(5);
         sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(4)));
         let id = sada_simnet::ActorId::from_index;
-        let agent = sim.add_actor("agent", ScriptedAgent::new(id(1), AgentTiming::default())); // 0
+        let (agent, _) = add_agent(&mut sim, "agent", id(1)); // 0
         let r3 = sim.add_actor("r3", RelayActor::new(id(2), agent)); // 1
         let r2 = sim.add_actor("r2", RelayActor::new(id(3), r3)); // 2
         let r1 = sim.add_actor("r1", RelayActor::new(id(4), r2)); // 3
@@ -236,7 +231,7 @@ mod tests {
         let mut sim: Simulator<Msg> = Simulator::new(5);
         sim.set_default_link(LinkConfig::reliable(SimDuration::from_millis(4)));
         let id = sada_simnet::ActorId::from_index;
-        let agent = sim.add_actor("agent", ScriptedAgent::new(id(1), AgentTiming::default())); // 0
+        let (agent, arena) = add_agent(&mut sim, "agent", id(1)); // 0
         let r3 = sim.add_actor("r3", RelayActor::new(id(2), agent)); // 1
         let r2 = sim.add_actor("r2", RelayActor::new(id(3), r3)); // 2
         let r1 = sim.add_actor("r1", RelayActor::new(id(4), r2)); // 3
@@ -267,8 +262,8 @@ mod tests {
             "the squeezed base must actually fire spurious retransmissions: {:?}",
             m.infos
         );
-        let agent_state = sim.actor::<ScriptedAgent>(agent).unwrap();
-        assert_eq!(agent_state.applied.len(), 1, "re-received resets are absorbed, not re-applied");
+        let applied = sim.arena::<AgentArena>(arena).unwrap().applied(0);
+        assert_eq!(applied.len(), 1, "re-received resets are absorbed, not re-applied");
         let r = sim.actor::<RelayActor>(r1).unwrap();
         assert!(r.forwarded_down >= 2, "duplicates traversed the tree");
     }

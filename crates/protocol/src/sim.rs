@@ -1,28 +1,24 @@
-//! Simnet adapters: running the manager and scriptable agents on the
-//! discrete-event network.
+//! Simnet adapter: running the manager on the discrete-event network.
 //!
 //! [`ManagerActor`] is the production adapter (the video application reuses
-//! it unchanged); [`ScriptedAgent`] is a configurable stand-in for a real
-//! process, used by the protocol tests and benches to exercise every failure
-//! mode with controlled timing.
+//! it unchanged). Its agents are the scripted members of an
+//! [`AgentArena`](crate::AgentArena) in the protocol tests and benches, or
+//! the application's own processes in the video case study.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use sada_expr::Config;
 use sada_obs::{Bus, FleetEvent, Payload};
-use sada_plan::{ActionId, Path};
-use sada_resilience::{
-    BreakerConfig, BreakerTransition, CircuitBreaker, ReannouncePolicy, RetryMode, RttEstimator,
-};
+use sada_plan::Path;
+use sada_resilience::{BreakerConfig, LinkGuard, RetryMode};
 use sada_simnet::{Actor, ActorId, Context, SimDuration, SimTime, TimerId};
 
-use crate::agent::{AgentCore, AgentEffect, AgentEvent};
 use crate::journal::JournalRecord;
 use crate::manager::{
     AdaptationPlanner, ManagerCore, ManagerEffect, ManagerEvent, Outcome, PlannedStep, ProtoTiming,
 };
-use crate::messages::{LocalAction, SessionId, Wire};
+use crate::messages::{SessionId, Wire};
 
 /// Placeholder planner installed while the real planner is carried across a
 /// manager restart (never consulted).
@@ -86,23 +82,12 @@ pub struct ManagerActor<M> {
     pub completed_at: Option<sada_simnet::SimTime>,
     /// Progress log (the manager's `Info` effects).
     pub infos: Vec<String>,
-    /// Breaker policy, kept (like `timing`) so a restarted incarnation is
-    /// rebuilt under the same policy. `None` disables the gate entirely.
-    breaker_cfg: Option<BreakerConfig>,
-    /// Per-agent circuit breakers (volatile process state).
-    breakers: Vec<CircuitBreaker>,
-    /// Per-agent RTT estimators feeding the adaptive retry deadline
+    /// Per-agent breakers and RTT estimators between the core and the wire
     /// (volatile: a restarted manager re-learns the network).
-    rtt: Vec<RttEstimator>,
-    /// First unanswered send per agent, for Karn-rule RTT sampling.
-    pending_since: HashMap<usize, SimTime>,
+    guard: LinkGuard,
     /// True while applying effects produced by a protocol timeout — sends
     /// in that window are retransmissions, i.e. breaker failure evidence.
     in_timeout: bool,
-    /// Times any breaker tripped open (diagnostics; survives restarts).
-    pub breaker_trips: u64,
-    /// Sends refused by open breakers (diagnostics; survives restarts).
-    pub suppressed_sends: u64,
     bus: Bus,
     _marker: PhantomData<fn() -> M>,
 }
@@ -118,7 +103,7 @@ impl<M> ManagerActor<M> {
         target: Config,
     ) -> Self {
         let actor_to_agent = agents.iter().enumerate().map(|(ix, &a)| (a, ix)).collect();
-        let rtt = vec![RttEstimator::new(); agents.len()];
+        let guard = LinkGuard::new(agents.len(), None);
         ManagerActor {
             core: ManagerCore::new(timing, planner),
             agents,
@@ -135,13 +120,8 @@ impl<M> ManagerActor<M> {
             outcome: None,
             completed_at: None,
             infos: Vec::new(),
-            breaker_cfg: None,
-            breakers: Vec::new(),
-            rtt,
-            pending_since: HashMap::new(),
+            guard,
             in_timeout: false,
-            breaker_trips: 0,
-            suppressed_sends: 0,
             bus: Bus::new(),
             _marker: PhantomData,
         }
@@ -151,8 +131,7 @@ impl<M> ManagerActor<M> {
     /// an agent that keeps timing out stops absorbing retransmissions and
     /// is re-engaged through a single seeded half-open probe.
     pub fn with_breakers(mut self, cfg: BreakerConfig) -> Self {
-        self.breaker_cfg = Some(cfg);
-        self.breakers = (0..self.agents.len()).map(|_| CircuitBreaker::new(cfg)).collect();
+        self.guard = LinkGuard::new(self.agents.len(), Some(cfg));
         self
     }
 
@@ -189,6 +168,12 @@ impl<M> ManagerActor<M> {
         self.epoch
     }
 
+    /// The breaker and RTT state between the core and the wire (its trip
+    /// and suppressed-send counters survive restarts).
+    pub fn guard(&self) -> &LinkGuard {
+        &self.guard
+    }
+
     fn emit_fleet(&mut self, ctx: &mut Context<'_, Wire<M>>, ev: FleetEvent)
     where
         M: Clone + 'static,
@@ -204,57 +189,21 @@ impl<M> ManagerActor<M> {
         }
     }
 
-    fn emit_transition(
-        &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
-        agent: usize,
-        tr: BreakerTransition,
-    ) where
-        M: Clone + 'static,
-    {
-        let agent = agent as u32;
-        let ev = match tr {
-            BreakerTransition::Opened { cooldown } => {
-                self.breaker_trips += 1;
-                FleetEvent::BreakerOpened { agent, cooldown_us: cooldown.as_micros() }
-            }
-            BreakerTransition::Probing => FleetEvent::BreakerProbed { agent },
-            BreakerTransition::Closed => FleetEvent::BreakerClosed { agent },
-        };
-        self.emit_fleet(ctx, ev);
-    }
-
-    /// Records an arrival from `agent`: an RTT sample when a send was
-    /// outstanding (Karn's rule — the timestamp of the *first* transmission,
-    /// never a retransmission's), and success evidence for the breaker. Runs
-    /// for every current-epoch message, including acks the core will discard
-    /// as stale: a slow agent whose answer arrives after the manager already
+    /// Records an arrival from `agent` with the link guard. Runs for every
+    /// current-epoch message, including acks the core will discard as
+    /// stale: a slow agent whose answer arrives after the manager already
     /// gave up on the phase still teaches the estimator its true latency.
+    /// Every adaptive-mode sample is reported.
     fn observe_arrival(&mut self, ctx: &mut Context<'_, Wire<M>>, agent: usize)
     where
         M: Clone + 'static,
     {
-        if let Some(t0) = self.pending_since.remove(&agent) {
-            let sample = ctx.now().saturating_since(t0);
-            self.rtt[agent].observe(sample);
-            if self.timing.retry.mode == RetryMode::Adaptive {
-                let (srtt, rto) = (self.rtt[agent].srtt(), self.rtt[agent].rto());
-                if let (Some(srtt), Some(rto)) = (srtt, rto) {
-                    self.emit_fleet(
-                        ctx,
-                        FleetEvent::TimeoutAdapted {
-                            agent: agent as u32,
-                            srtt_us: srtt.as_micros(),
-                            rto_us: rto.as_micros(),
-                        },
-                    );
-                }
-            }
+        let (sample, transition) = self.guard.on_arrival(agent, ctx.now());
+        if let Some(ev) = sample.filter(|_| self.timing.retry.mode == RetryMode::Adaptive) {
+            self.emit_fleet(ctx, ev);
         }
-        if agent < self.breakers.len() {
-            if let Some(tr) = self.breakers[agent].on_success(ctx.now()) {
-                self.emit_transition(ctx, agent, tr);
-            }
+        if let Some(ev) = transition {
+            self.emit_fleet(ctx, ev);
         }
     }
 
@@ -264,7 +213,7 @@ impl<M> ManagerActor<M> {
         if self.timing.retry.mode != RetryMode::Adaptive {
             return;
         }
-        let hint = self.rtt.iter().filter_map(RttEstimator::rto).max();
+        let hint = (0..self.agents.len()).filter_map(|a| self.guard.rto(a)).max();
         self.core.set_timeout_hint(hint);
     }
 
@@ -282,27 +231,13 @@ impl<M> ManagerActor<M> {
         for eff in effects {
             match eff {
                 ManagerEffect::Send { agent, msg } => {
-                    // A send emitted while handling a timeout is a
-                    // retransmission: failure evidence for the breaker.
-                    if self.in_timeout && agent < self.breakers.len() {
-                        if let Some(tr) = self.breakers[agent].on_failure(ctx.now()) {
-                            self.emit_transition(ctx, agent, tr);
-                        }
+                    let (allowed, events) = self.guard.gate_send(agent, ctx.now(), self.in_timeout);
+                    for ev in events.into_iter().flatten() {
+                        self.emit_fleet(ctx, ev);
                     }
-                    if agent < self.breakers.len() {
-                        let (ok, tr) = self.breakers[agent].allow_send(ctx.now());
-                        if let Some(tr) = tr {
-                            self.emit_transition(ctx, agent, tr);
-                        }
-                        if !ok {
-                            // The breaker absorbs the retry; the protocol's
-                            // own timeout ladder keeps running and will
-                            // journal an outcome either way.
-                            self.suppressed_sends += 1;
-                            continue;
-                        }
+                    if !allowed {
+                        continue;
                     }
-                    self.pending_since.entry(agent).or_insert_with(|| ctx.now());
                     ctx.send(
                         self.agents[agent],
                         Wire::Proto { epoch: self.epoch, session: SessionId::SOLO, msg },
@@ -392,13 +327,7 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ManagerActor<M> {
         // a real deployment.
         self.timers.clear();
         self.agent_epochs.clear();
-        self.pending_since.clear();
-        for e in &mut self.rtt {
-            *e = RttEstimator::new();
-        }
-        if let Some(cfg) = self.breaker_cfg {
-            self.breakers = (0..self.agents.len()).map(|_| CircuitBreaker::new(cfg)).collect();
-        }
+        self.guard.on_crash();
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
@@ -426,311 +355,5 @@ impl<M: Clone + 'static> Actor<Wire<M>> for ManagerActor<M> {
                 self.apply(ctx, eff);
             }
         }
-    }
-}
-
-/// How long each local operation takes on a [`ScriptedAgent`].
-#[derive(Debug, Clone, Copy)]
-pub struct AgentTiming {
-    /// Delay from `reset` to the safe state (packet boundary + drain).
-    pub safe_delay: SimDuration,
-    /// Extra delay when the action's global safe condition requires
-    /// draining in-flight traffic (the paper's expensive compound actions).
-    pub drain_extra: SimDuration,
-    /// Duration of the structural in-action.
-    pub act_delay: SimDuration,
-    /// Delay to restore full operation.
-    pub resume_delay: SimDuration,
-    /// Duration of a rollback.
-    pub rollback_delay: SimDuration,
-}
-
-impl Default for AgentTiming {
-    fn default() -> Self {
-        AgentTiming {
-            safe_delay: SimDuration::from_millis(5),
-            drain_extra: SimDuration::from_millis(25),
-            act_delay: SimDuration::from_millis(2),
-            resume_delay: SimDuration::from_millis(1),
-            rollback_delay: SimDuration::from_millis(2),
-        }
-    }
-}
-
-/// Timer tag for reaching the safe state ([`ScriptedAgent`] and arena
-/// embeddings of the same state machine share these, so traces line up).
-pub const TAG_SAFE: u64 = 1;
-/// Timer tag for completing the structural in-action.
-pub const TAG_ACT: u64 = 2;
-/// Timer tag for restoring full operation.
-pub const TAG_RESUME: u64 = 3;
-/// Timer tag for completing a rollback.
-pub const TAG_ROLLBACK: u64 = 4;
-/// Timer tag for retransmitting a post-restart `Rejoin` announcement.
-pub const TAG_REJOIN: u64 = 5;
-
-/// A process whose local adaptation behaviour is scripted: it reaches its
-/// safe state, performs in-actions, resumes and rolls back after fixed
-/// delays, and can be told to exhibit the paper's fail-to-reset failure.
-///
-/// Under fault injection it models the volatile-uncommitted crash model:
-/// a crash destroys the step in progress (an applied-but-uncommitted
-/// in-action is recorded as evaporated in [`ScriptedAgent::applied`])
-/// while completed steps survive on durable storage; the restart bumps the
-/// agent's epoch and announces [`ProtoMsg::Rejoin`] to the manager,
-/// retransmitting until it is resynchronized.
-///
-/// [`ProtoMsg::Rejoin`]: crate::ProtoMsg::Rejoin
-pub struct ScriptedAgent {
-    core: AgentCore,
-    manager: ActorId,
-    timing: AgentTiming,
-    /// When true, the agent reports `fail to reset` instead of reaching its
-    /// safe state (a long critical communication segment).
-    pub fail_to_reset: bool,
-    /// Forward (`true`) and rollback (`false`) structural changes actually
-    /// applied, in order — the ground truth tests compare against.
-    pub applied: Vec<(ActionId, bool)>,
-    /// Crashes suffered (fault injection).
-    pub crashes: u64,
-    /// `Rejoin` announcements put on the wire.
-    pub rejoins_sent: u64,
-    epoch: u64,
-    manager_epoch: u64,
-    /// How often a restarted agent retransmits `Rejoin` until the manager
-    /// engages it, and how many times it tries. The budget must outlast a
-    /// partition window plus the manager's phase timeout, or a lost rejoin
-    /// degenerates into the (safe but slower) pure-timeout recovery.
-    reannounce: ReannouncePolicy,
-    rejoin_budget: u32,
-    pending_action: Option<LocalAction>,
-    pending_rollback: Option<LocalAction>,
-    /// Last session seen on incoming protocol traffic; echoed on every
-    /// outgoing message (and stamped on bus events) so a multi-session
-    /// control plane can route this agent's replies. Stays
-    /// [`SessionId::SOLO`] under a single-session manager.
-    session: SessionId,
-    bus: Bus,
-}
-
-impl ScriptedAgent {
-    /// Creates an agent reporting to `manager`.
-    pub fn new(manager: ActorId, timing: AgentTiming) -> Self {
-        ScriptedAgent {
-            core: AgentCore::new(),
-            manager,
-            timing,
-            fail_to_reset: false,
-            applied: Vec::new(),
-            crashes: 0,
-            rejoins_sent: 0,
-            epoch: 0,
-            manager_epoch: 0,
-            reannounce: ReannouncePolicy::default(),
-            rejoin_budget: 0,
-            pending_action: None,
-            pending_rollback: None,
-            session: SessionId::SOLO,
-            bus: Bus::new(),
-        }
-    }
-
-    /// Emits the agent's protocol state transitions onto `bus` (timestamped
-    /// with the virtual clock, attributed to this actor).
-    pub fn with_bus(mut self, bus: Bus) -> Self {
-        self.bus = bus;
-        self
-    }
-
-    /// Overrides the rejoin re-announcement schedule (period and budget).
-    pub fn with_reannounce(mut self, policy: ReannouncePolicy) -> Self {
-        self.reannounce = policy;
-        self
-    }
-
-    /// The agent state machine (for state assertions in tests).
-    pub fn core(&self) -> &AgentCore {
-        &self.core
-    }
-
-    /// This agent's incarnation number (0 until the first crash/restart).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The session this agent last worked under (for routing assertions).
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-
-    fn send_rejoin<M: Clone + 'static>(&mut self, ctx: &mut Context<'_, Wire<M>>) {
-        self.rejoins_sent += 1;
-        ctx.send(
-            self.manager,
-            Wire::Proto {
-                epoch: self.epoch,
-                session: self.session,
-                msg: crate::messages::ProtoMsg::Rejoin {
-                    last_completed: self.core.last_completed(),
-                },
-            },
-        );
-        ctx.set_timer(self.reannounce.period, TAG_REJOIN);
-    }
-
-    fn apply<M: Clone + 'static>(
-        &mut self,
-        ctx: &mut Context<'_, Wire<M>>,
-        effects: Vec<AgentEffect>,
-    ) {
-        let obs = self.core.drain_obs();
-        if self.bus.has_sinks() {
-            let (at, actor) = (ctx.now(), ctx.self_id().index() as u32);
-            for payload in obs {
-                self.bus.emit(sada_obs::Event {
-                    at,
-                    actor,
-                    session: self.session.0,
-                    shard: 0,
-                    payload,
-                });
-            }
-        }
-        for eff in effects {
-            match eff {
-                AgentEffect::Send(msg) => ctx.send(
-                    self.manager,
-                    Wire::Proto { epoch: self.epoch, session: self.session, msg },
-                ),
-                AgentEffect::PreAction(_) => {}
-                AgentEffect::BeginReset(la) => {
-                    // Reaching the safe state takes time — more when the
-                    // global safe condition demands draining; a
-                    // fail-to-reset agent discovers after the same delay
-                    // that it cannot.
-                    let delay = if la.needs_global_drain {
-                        self.timing.safe_delay + self.timing.drain_extra
-                    } else {
-                        self.timing.safe_delay
-                    };
-                    ctx.set_timer(delay, TAG_SAFE);
-                }
-                AgentEffect::DoInAction(la) => {
-                    self.pending_action = Some(la);
-                    ctx.set_timer(self.timing.act_delay, TAG_ACT);
-                }
-                AgentEffect::DoResume => {
-                    ctx.set_timer(self.timing.resume_delay, TAG_RESUME);
-                }
-                AgentEffect::PostAction(_) => {}
-                AgentEffect::DoRollback(la) => {
-                    self.pending_rollback = la;
-                    ctx.set_timer(self.timing.rollback_delay, TAG_ROLLBACK);
-                }
-            }
-        }
-    }
-}
-
-impl<M: Clone + 'static> Actor<Wire<M>> for ScriptedAgent {
-    fn on_message(&mut self, ctx: &mut Context<'_, Wire<M>>, _from: ActorId, msg: Wire<M>) {
-        if let Wire::Proto { epoch, session, msg: p } = msg {
-            if epoch < self.manager_epoch {
-                return; // residue from a previous manager incarnation
-            }
-            self.manager_epoch = epoch;
-            // Adopt the sender's session so replies (and this agent's bus
-            // events) are tagged with the adaptation they belong to.
-            self.session = session;
-            let eff = self.core.on_event(AgentEvent::Msg(p));
-            self.apply(ctx, eff);
-            if self.core.state() != crate::AgentState::Running {
-                // The manager has re-engaged this incarnation: the rejoin
-                // announcement has served its purpose. (A Resume ignored in
-                // the running state does NOT count — that is exactly the
-                // lost-rejoin divergence the retransmissions exist for.)
-                self.rejoin_budget = 0;
-            }
-        }
-    }
-
-    fn on_crash(&mut self, _now: SimTime) {
-        self.crashes += 1;
-        // The volatile-uncommitted model: a structural change that was
-        // applied but never committed evaporates with the process image.
-        // Record it as undone so the ground-truth replay sees what a fresh
-        // process image actually contains.
-        if let Some(la) = self.core.uncommitted_action() {
-            self.applied.push((la.action, false));
-        }
-        self.pending_action = None;
-        self.pending_rollback = None;
-    }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_, Wire<M>>) {
-        // New incarnation: only durable state (completed steps) survives.
-        self.epoch += 1;
-        let prev = self.core.state();
-        self.core = AgentCore::restore(self.core.last_completed());
-        // The crash snapped the state machine back to Running without an
-        // ordinary transition; emit one so per-phase interval integration
-        // closes the dead incarnation's phase at the restart instant.
-        if prev != crate::AgentState::Running {
-            self.bus.scoped(self.session.0).publish(
-                ctx.now(),
-                ctx.self_id().index() as u32,
-                || {
-                    sada_obs::Payload::Proto(sada_obs::ProtoEvent::AgentState {
-                        from: crate::agent::state_tag(prev),
-                        to: sada_obs::AgentStateTag::Running,
-                        step: None,
-                    })
-                },
-            );
-        }
-        self.rejoin_budget = self.reannounce.budget;
-        self.send_rejoin(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Wire<M>>, tag: u64) {
-        if tag == TAG_REJOIN {
-            // Keep announcing until the manager engages us (we leave the
-            // running state) or the budget runs out; after that, recovery
-            // falls back to the manager's ordinary timeout ladder.
-            if self.rejoin_budget > 0 && self.core.state() == crate::AgentState::Running {
-                self.rejoin_budget -= 1;
-                self.send_rejoin(ctx);
-            }
-            return;
-        }
-        let ev = match tag {
-            TAG_SAFE => {
-                if self.fail_to_reset {
-                    AgentEvent::CannotReset
-                } else {
-                    AgentEvent::SafeReached
-                }
-            }
-            TAG_ACT => {
-                if let Some(la) = self.pending_action.take() {
-                    // The structural change happens exactly here — atomically
-                    // with respect to the (blocked) data path.
-                    self.applied.push((la.action, true));
-                }
-                AgentEvent::InActionDone
-            }
-            TAG_RESUME => AgentEvent::ResumeFinished,
-            TAG_ROLLBACK => {
-                if let Some(la) = self.pending_rollback.take() {
-                    // `Some` means a forward change was applied and must be
-                    // recorded as undone.
-                    self.applied.push((la.action, false));
-                }
-                AgentEvent::RollbackFinished
-            }
-            _ => return,
-        };
-        let eff = self.core.on_event(ev);
-        self.apply(ctx, eff);
     }
 }

@@ -1,22 +1,44 @@
-//! End-to-end protocol runs over the simulated network: manager + scripted
-//! agents, with the paper's failure classes injected through link loss,
+//! End-to-end protocol runs over the simulated network: manager + an arena
+//! of scripted agents, with the paper's failure classes injected through link loss,
 //! partitions, and fail-to-reset agents.
 
 use std::collections::HashSet;
 
 use sada_expr::{enumerate, Config, InvariantSet, Universe};
 use sada_model::SystemModel;
+use sada_obs::Bus;
 use sada_plan::{Action, ActionId, Sag};
-use sada_proto::{AgentTiming, ManagerActor, ProtoTiming, SagPlanner, ScriptedAgent, Wire};
-use sada_simnet::{ActorId, LinkConfig, SimDuration, Simulator};
+use sada_proto::{AgentArena, AgentTiming, ManagerActor, ProtoTiming, SagPlanner, Wire};
+use sada_simnet::{ActorId, ArenaId, LinkConfig, SimDuration, Simulator};
 
 type Msg = Wire<()>;
 
 struct World {
     sim: Simulator<Msg>,
     manager: ActorId,
+    /// The arena holding both agents (member `i` is `agents[i]`).
+    arena: ArenaId,
     agents: Vec<ActorId>,
     universe: Universe,
+}
+
+impl World {
+    fn arena(&self) -> &AgentArena {
+        self.sim.arena::<AgentArena>(self.arena).expect("agent arena")
+    }
+}
+
+/// Registers one arena member per timing, all reporting to the manager at
+/// actor index 2 (registered right after them).
+fn add_agents(sim: &mut Simulator<Msg>, timings: [AgentTiming; 2]) -> (ArenaId, Vec<ActorId>) {
+    let mut arena = AgentArena::new(ActorId::from_index(2), Bus::new());
+    for timing in timings {
+        arena.push_member(timing);
+    }
+    let arena = sim.add_arena(arena);
+    let a0 = sim.add_arena_member("agent-x", arena, 0);
+    let a1 = sim.add_arena_member("agent-y", arena, 1);
+    (arena, vec![a0, a1])
 }
 
 /// Two-agent system: encoder-ish component on agent 0, decoder-ish on
@@ -52,22 +74,19 @@ fn build_world(seed: u64, source: &[&str], target: &[&str], timing: ProtoTiming)
 
     let mut sim: Simulator<Msg> = Simulator::new(seed);
     // Agents must exist before the manager so their ids are known.
-    let a0 = sim
-        .add_actor("agent-x", ScriptedAgent::new(ActorId::from_index(2), AgentTiming::default()));
-    let a1 = sim
-        .add_actor("agent-y", ScriptedAgent::new(ActorId::from_index(2), AgentTiming::default()));
+    let (arena, agents) = add_agents(&mut sim, [AgentTiming::default(); 2]);
     let manager = sim.add_actor(
         "manager",
         ManagerActor::<()>::new(
             timing,
             Box::new(planner),
-            vec![a0, a1],
+            agents.clone(),
             u.config_of(source),
             u.config_of(target),
         ),
     );
     assert_eq!(manager, ActorId::from_index(2), "manager id wired into agents");
-    World { sim, manager, agents: vec![a0, a1], universe: u }
+    World { sim, manager, arena, agents, universe: u }
 }
 
 fn outcome_of(world: &Simulator<Msg>, manager: ActorId) -> sada_proto::Outcome {
@@ -80,20 +99,13 @@ fn outcome_of(world: &Simulator<Msg>, manager: ActorId) -> sada_proto::Outcome {
 }
 
 /// Final config implied by the actions the agents actually applied.
-fn replay_applied(
-    _u: &Universe,
-    world: &Simulator<Msg>,
-    agents: &[ActorId],
-    actions: &[Action],
-    start: &Config,
-) -> Config {
+fn replay_applied(w: &World, actions: &[Action], start: &Config) -> Config {
     let mut all: Vec<(u64, ActionId, bool)> = Vec::new();
-    // ScriptedAgent.applied is in per-agent order; we don't have global
+    // `AgentArena::applied` is in per-agent order; we don't have global
     // timestamps, but forward/undo pairs per action commute here because
     // each action touches disjoint components per agent.
-    for &a in agents {
-        let ag = world.actor::<ScriptedAgent>(a).expect("agent");
-        for (ix, &(action, fwd)) in ag.applied.iter().enumerate() {
+    for member in 0..w.agents.len() as u32 {
+        for (ix, &(action, fwd)) in w.arena().applied(member).iter().enumerate() {
             all.push((ix as u64, action, fwd));
         }
     }
@@ -144,13 +156,7 @@ fn happy_path_reaches_target_in_order() {
     assert!(o.warnings.is_empty());
     // Replaying the agents' applied actions lands on the same config.
     let actions = case_actions(&w.universe);
-    let replayed = replay_applied(
-        &w.universe,
-        &w.sim,
-        &w.agents,
-        &actions,
-        &w.universe.config_of(&["X1", "Y1"]),
-    );
+    let replayed = replay_applied(&w, &actions, &w.universe.config_of(&["X1", "Y1"]));
     assert_eq!(replayed, o.final_config);
 }
 
@@ -161,10 +167,8 @@ fn ordering_respects_dependency_invariant() {
     w.sim.run();
     let o = outcome_of(&w.sim, w.manager);
     assert!(o.success);
-    let ay = w.sim.actor::<ScriptedAgent>(w.agents[1]).unwrap();
-    let ax = w.sim.actor::<ScriptedAgent>(w.agents[0]).unwrap();
-    assert_eq!(ay.applied, vec![(ActionId(4), true)]);
-    assert_eq!(ax.applied, vec![(ActionId(3), true)]);
+    assert_eq!(w.arena().applied(1), [(ActionId(4), true)]);
+    assert_eq!(w.arena().applied(0), [(ActionId(3), true)]);
 }
 
 #[test]
@@ -189,13 +193,7 @@ fn moderate_message_loss_is_survived() {
             o.final_config
         );
         let actions = case_actions(&w.universe);
-        let replayed = replay_applied(
-            &w.universe,
-            &w.sim,
-            &w.agents,
-            &actions,
-            &w.universe.config_of(&["X1", "Y1"]),
-        );
+        let replayed = replay_applied(&w, &actions, &w.universe.config_of(&["X1", "Y1"]));
         assert_eq!(
             replayed, o.final_config,
             "seed {seed}: manager view diverged from ground truth"
@@ -208,18 +206,18 @@ fn fail_to_reset_aborts_back_to_source() {
     let mut w = build_world(7, &["X1", "Y1"], &["X2", "Y2"], ProtoTiming::default());
     // Agent 0 can never reach a safe state: every path needs X1->X2 first,
     // so the whole adaptation must abort back to the source configuration.
-    w.sim.actor_mut::<ScriptedAgent>(w.agents[0]).unwrap().fail_to_reset = true;
+    w.sim.arena_mut::<AgentArena>(w.arena).unwrap().set_fail_to_reset(0, true);
     w.sim.run();
     let o = outcome_of(&w.sim, w.manager);
     assert!(!o.success);
     assert!(!o.gave_up);
     assert_eq!(o.final_config, w.universe.config_of(&["X1", "Y1"]), "rolled back to source");
     // No structural change may survive.
-    for &a in &w.agents {
-        let ag = w.sim.actor::<ScriptedAgent>(a).unwrap();
-        let forwards = ag.applied.iter().filter(|(_, f)| *f).count();
-        let undos = ag.applied.iter().filter(|(_, f)| !*f).count();
-        assert_eq!(forwards, undos, "every applied action undone on {a}");
+    for member in 0..2 {
+        let applied = w.arena().applied(member);
+        let forwards = applied.iter().filter(|(_, f)| *f).count();
+        let undos = applied.iter().filter(|(_, f)| !*f).count();
+        assert_eq!(forwards, undos, "every applied action undone on agent {member}");
     }
 }
 
@@ -235,8 +233,7 @@ fn partition_before_resume_rolls_back() {
     let o = outcome_of(&w.sim, w.manager);
     assert!(!o.success);
     assert_eq!(o.final_config, w.universe.config_of(&["X1", "Y1"]));
-    let ax = w.sim.actor::<ScriptedAgent>(w.agents[0]).unwrap();
-    assert!(ax.applied.is_empty(), "partitioned agent never adapted");
+    assert!(w.arena().applied(0).is_empty(), "partitioned agent never adapted");
 }
 
 #[test]
@@ -304,14 +301,13 @@ fn pair_action_blocks_both_agents_until_barrier() {
     // Agent 1 is slow to reach its safe state; agent 0 must wait blocked.
     let fast = AgentTiming::default();
     let slow = AgentTiming { safe_delay: SimDuration::from_millis(50), ..AgentTiming::default() };
-    let a0 = sim.add_actor("agent-x", ScriptedAgent::new(ActorId::from_index(2), fast));
-    let a1 = sim.add_actor("agent-y", ScriptedAgent::new(ActorId::from_index(2), slow));
+    let (arena, agents) = add_agents(&mut sim, [fast, slow]);
     let manager = sim.add_actor(
         "manager",
         ManagerActor::<()>::new(
             ProtoTiming::default(),
             Box::new(planner),
-            vec![a0, a1],
+            agents,
             u.config_of(&["X1", "Y1"]),
             u.config_of(&["X2", "Y2"]),
         ),
@@ -320,9 +316,9 @@ fn pair_action_blocks_both_agents_until_barrier() {
     let o = sim.actor::<ManagerActor<()>>(manager).unwrap().outcome.clone().unwrap();
     assert!(o.success);
     assert_eq!(o.steps_committed, 1);
-    for a in [a0, a1] {
-        let ag = sim.actor::<ScriptedAgent>(a).unwrap();
-        assert_eq!(ag.applied, vec![(ActionId(0), true)]);
+    let arena = sim.arena::<AgentArena>(arena).unwrap();
+    for member in 0..2 {
+        assert_eq!(arena.applied(member), [(ActionId(0), true)]);
     }
 }
 
@@ -340,19 +336,12 @@ fn agent_crash_mid_step_rejoins_and_reaches_target() {
     let o = outcome_of(&w.sim, w.manager);
     assert!(o.success, "infos: {:?}", w.sim.actor::<ManagerActor<()>>(w.manager).unwrap().infos);
     assert_eq!(o.final_config, w.universe.config_of(&["X2", "Y2"]));
-    let ax = w.sim.actor::<ScriptedAgent>(w.agents[0]).unwrap();
-    assert_eq!(ax.crashes, 1);
-    assert!(ax.rejoins_sent >= 1, "restart must announce itself");
-    assert!(ax.epoch() >= 1, "incarnation bumped");
+    assert_eq!(w.arena().crashes(0), 1);
+    assert!(w.arena().rejoins_sent(0) >= 1, "restart must announce itself");
+    assert!(w.arena().epoch(0) >= 1, "incarnation bumped");
     // Ground truth: what the agents actually executed lands on the target.
     let actions = case_actions(&w.universe);
-    let replayed = replay_applied(
-        &w.universe,
-        &w.sim,
-        &w.agents,
-        &actions,
-        &w.universe.config_of(&["X1", "Y1"]),
-    );
+    let replayed = replay_applied(&w, &actions, &w.universe.config_of(&["X1", "Y1"]));
     assert_eq!(replayed, o.final_config);
 }
 
@@ -384,13 +373,7 @@ fn crash_and_rejoin_is_safe_across_crash_times() {
             o.final_config
         );
         let actions = case_actions(&w.universe);
-        let replayed = replay_applied(
-            &w.universe,
-            &w.sim,
-            &w.agents,
-            &actions,
-            &w.universe.config_of(&["X1", "Y1"]),
-        );
+        let replayed = replay_applied(&w, &actions, &w.universe.config_of(&["X1", "Y1"]));
         assert_eq!(replayed, o.final_config, "crash at {crash_ms}ms: manager view diverged");
         assert!(
             o.success,

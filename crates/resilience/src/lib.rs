@@ -19,18 +19,24 @@
 //! - [`CircuitBreaker`] — per-agent closed/open/half-open gate with seeded
 //!   half-open probing and doubled-capped cooldown, so an agent that keeps
 //!   timing out stops absorbing retries.
+//! - [`LinkGuard`] — the manager-side wiring of the two above: per-agent
+//!   breakers and estimators, Karn-rule send clocks, and the ordered rule
+//!   for retransmissions, sends and arrivals. The protocol manager actor
+//!   and the fleet control actor both delegate to it.
 //! - [`BulkheadConfig`] — bounded in-flight + bounded waiting admission
 //!   decisions with deterministic lowest-priority-oldest shedding.
 //!
-//! Nothing here performs I/O or reads a clock; hosts (the protocol manager
-//! actor and the fleet control actor) own the wiring.
+//! Nothing here performs I/O or reads a clock; hosts pass virtual time in
+//! and emit the returned events under their own session stamping.
 
 mod breaker;
 mod bulkhead;
+mod guard;
 mod retry;
 mod rtt;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use bulkhead::{shed_victim, Admission, BulkheadConfig};
+pub use guard::LinkGuard;
 pub use retry::{jitter_us, ReannouncePolicy, RetryMode, RetryPolicy};
 pub use rtt::RttEstimator;

@@ -16,11 +16,15 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
 
+use sada_core::casestudy::case_study;
 use sada_core::{run_adaptation, AdaptationSpec, RunConfig};
 use sada_expr::{Config, InvariantSet, Universe};
+use sada_fleet::{fingerprint_events, measure_capacity, run_overload, OverloadConfig};
 use sada_model::SystemModel;
-use sada_obs::{decode_lines, Bus, JsonlSink};
+use sada_obs::{decode_lines, Bus, JsonlSink, RingSink};
 use sada_plan::Action;
+use sada_proto::{BreakerConfig, ProtoTiming, RetryPolicy};
+use sada_simnet::{ActorId, FaultPlan, SimTime};
 
 /// The `examples/quickstart.rs` system: a TLS-1.2 → TLS-1.3 migration whose
 /// invariants force the single compound step.
@@ -106,4 +110,40 @@ fn quickstart_trace_matches_golden() {
         golden.lines().count(),
         "trace length changed — if intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// The quickstart trace never trips a breaker or adapts a timeout, so it
+/// cannot see the manager-side link guard. These two runs do, one per
+/// manager host; their event-stream fingerprints pin the breaker and
+/// adaptive-retry paths bit for bit.
+#[test]
+fn breaker_path_fingerprints_match_pinned() {
+    // Solo case study: breakers with a threshold of one retry ladder,
+    // RTT-adaptive deadlines, and the hand-held agent down for five seconds.
+    let cs = case_study();
+    let ring = Rc::new(RefCell::new(RingSink::new(1 << 12)));
+    let bus = Bus::new();
+    bus.attach(&ring);
+    let victim = ActorId::from_index(1);
+    let cfg = RunConfig {
+        bus,
+        timing: ProtoTiming { retry: RetryPolicy::adaptive(), ..ProtoTiming::default() },
+        breaker: Some(BreakerConfig { failure_threshold: 3, ..BreakerConfig::default() }),
+        faults: FaultPlan::new()
+            .crash(victim, SimTime::from_millis(5))
+            .restart(victim, SimTime::from_millis(5_000)),
+        ..RunConfig::default()
+    };
+    let report = run_adaptation(&cs.spec, &cs.source, &cs.target, &cfg);
+    assert!(report.outcome.success, "{:?}", report.infos);
+    assert_eq!((report.breaker_trips, report.suppressed_sends), (3, 4));
+    let events = ring.borrow().events();
+    assert_eq!(events.len(), 181);
+    assert_eq!(fingerprint_events(&events), 0x7f84_f416_7c20_d726);
+
+    // Fleet overload run: per-agent breakers, adaptive deadlines and a
+    // crash-looping agent behind the bulkhead.
+    let r = run_overload(&OverloadConfig::protected(4, 2, 11), measure_capacity(4, 11));
+    assert_eq!((r.breaker_trips, r.suppressed_sends), (3, 3));
+    assert_eq!(r.fingerprint, 0xf651_acdb_873c_eae3);
 }
