@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 
 use sada_expr::{CompId, Config, Expr, InvariantSet};
-use sada_plan::Action;
+use sada_plan::{Action, Search};
 
 /// A normalized planning instance: the full problem statement over
 /// scope-local component ids. Two sessions with equal keys pose the same
@@ -131,6 +131,10 @@ pub struct PlanCache {
     clock: u64,
     stats: PlanCacheStats,
     notes: Vec<CacheNote>,
+    /// This control plane's memo for [`Search::is_safe_from`]: successive
+    /// queries of one control plane differ only in its own sessions' flips,
+    /// so diffing against its own last safe configuration stays cheap.
+    safe_memo: Option<Config>,
 }
 
 impl PlanCache {
@@ -143,7 +147,15 @@ impl PlanCache {
             clock: 0,
             stats: PlanCacheStats::default(),
             notes: Vec::new(),
+            safe_memo: None,
         }
+    }
+
+    /// Whether `cfg` satisfies every invariant of `search`, checked against
+    /// this cache's own memo rather than the one `search` shares with
+    /// every other control plane of the run.
+    pub(crate) fn is_safe(&mut self, search: &Search, cfg: &Config) -> bool {
+        search.is_safe_from(&mut self.safe_memo, cfg)
     }
 
     /// Number of live entries.

@@ -294,6 +294,12 @@ impl<M: Clone + 'static> ControlActor<M> {
         &self.guard
     }
 
+    /// The compiled world this control plane plans and locks over.
+    #[cfg(test)]
+    pub(crate) fn world(&self) -> &FleetWorld {
+        &self.world
+    }
+
     /// Number of sessions currently in flight.
     pub fn active_count(&self) -> usize {
         self.active.len()

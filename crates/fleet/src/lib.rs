@@ -10,7 +10,9 @@
 //!   across agent processes so steps run real barriers. Compiled from a
 //!   declarative [`WorldSpec`] — the paper's video clone, the serverless
 //!   codec fleet, and the IaaS-migration domain (with an energy-cost
-//!   [`Objective`]) are all instances of the same shape.
+//!   [`Objective`]) are all instances of the same shape. A `FleetWorld`
+//!   is a cheap `Send + Sync` handle to one immutable compiled world, so a
+//!   run compiles it once and every endpoint and worker thread shares it.
 //! * [`ScopeLockManager`] — atomic all-or-nothing scope locks with
 //!   priority/FIFO queueing: deadlock-free by construction (no
 //!   hold-and-wait), starvation-free via shadow-set grant scans.
@@ -65,4 +67,6 @@ pub use shard::{
     encode_fabric_msg, fingerprint_events, parse_fabric_msg, run_fleet_sharded, FabricFaultPlan,
     FabricPayload, FabricStats, ShardReport, ShardScenario, ShardStats, DEFAULT_REGIONS,
 };
-pub use world::{ActionSpec, ClusterSpec, CompSpec, Domain, FleetWorld, Objective, WorldSpec};
+pub use world::{
+    ActionSpec, ClusterSpec, CompSpec, Domain, FleetWorld, Objective, WorldData, WorldSpec,
+};

@@ -131,7 +131,11 @@ impl ScopedLazyPlanner {
         let nz = self.normalizer.as_ref()?;
         // The key captures in-scope state only, so out-of-scope safety must
         // be established before the cache may speak for this query.
-        if !self.world.search.is_safe(from) || !self.world.search.is_safe(to) {
+        let safe = {
+            let mut cache = cache.borrow_mut();
+            cache.is_safe(&self.world.search, from) && cache.is_safe(&self.world.search, to)
+        };
+        if !safe {
             return None;
         }
         let key = nz.key(from, to);

@@ -1457,9 +1457,8 @@ impl Actor<Wire<ShardMsg>> for GlobalControl {
 /// since simulators are constructed inside the owning thread.
 struct EndpointPlan {
     id: u32,
-    /// The world the driver already compiled, handed to endpoint 0 so it
-    /// is not compiled twice; every other endpoint compiles its own.
-    world: Option<FleetWorld>,
+    /// The run's one compiled world: every endpoint holds the same one.
+    world: FleetWorld,
     specs: Vec<SessionSpec>,
     straddlers: Vec<StraddlerPlan>,
     inbound: Vec<u32>,
@@ -1512,9 +1511,9 @@ fn build_endpoint(
     scn: &FleetScenario,
     regions: usize,
     budget_us: u64,
-    mut plan: EndpointPlan,
+    plan: EndpointPlan,
 ) -> Endpoint {
-    let world = Rc::new(plan.world.take().unwrap_or_else(|| scn.build_world()));
+    let world = Rc::new(plan.world);
     let seed = scn.seed.wrapping_add(u64::from(plan.id).wrapping_mul(SEED_STRIDE));
     let mut sim: Simulator<Wire<ShardMsg>> = Simulator::new(seed);
     sim.set_default_link(LinkConfig::reliable(scn.link_latency));
@@ -2074,10 +2073,16 @@ fn run_worker(
 ) -> Vec<EndpointOutcome> {
     let mut eps: Vec<Endpoint> =
         plans.into_iter().map(|p| build_endpoint(scn, regions, budget_us, p)).collect();
+    drive(&mut eps, fabric);
+    eps.into_iter().map(distill_endpoint).collect()
+}
+
+/// Steps `eps` under conservative execution until every one is done.
+fn drive(eps: &mut [Endpoint], fabric: &Fabric) {
     loop {
         let mut progressed = false;
         let mut all_done = true;
-        for ep in &mut eps {
+        for ep in eps.iter_mut() {
             if ep.done {
                 continue;
             }
@@ -2099,7 +2104,6 @@ fn run_worker(
                 .expect("fabric lock poisoned");
         }
     }
-    eps.into_iter().map(distill_endpoint).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -2199,35 +2203,14 @@ pub fn fingerprint_events(events: &[Event]) -> u64 {
     h
 }
 
-/// Runs `scenario` sharded across `threads` worker threads and reports.
-///
-/// Thread count is pure execution policy: any value produces bit-for-bit
-/// identical results, journals, and event streams for a fixed scenario.
-///
-/// # Panics
-///
-/// Panics on `threads == 0`, a region count outside `1..=groups`, an
-/// out-of-range `crash_region`, and — with more than one region — a
-/// non-empty simnet fault plan (it addresses one simulator's actor ids) or
-/// the serial baseline (one lock domain by definition).
-pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardReport {
+/// Partitions `scenario`'s workload by the fixed region map into one plan
+/// per region plus, when any session straddles regions, the global tier.
+/// Every plan holds a clone of `world`. Also returns the ascending ids of
+/// the regions some straddler involves (the fabric's edges).
+fn plan_endpoints(scenario: &ShardScenario, world: &FleetWorld) -> (Vec<EndpointPlan>, Vec<u32>) {
     let fleet = &scenario.fleet;
     let regions = scenario.regions;
-    assert!(threads >= 1, "at least one worker thread");
-    assert!(regions >= 1 && regions <= fleet.groups.max(1), "1 ≤ regions ≤ groups");
-    assert!(
-        regions == 1 || fleet.faults.is_empty(),
-        "a simnet fault plan addresses one simulator: only with one region"
-    );
-    assert!(regions == 1 || !fleet.serialize, "the serial baseline is one lock domain");
-    if let Some((r, _, _)) = scenario.crash_region {
-        assert!(r < regions, "crash_region out of range");
-    }
     let budget_us = fleet.time_budget.as_micros();
-    let quantum_us = fleet.link_latency.as_micros().max(1);
-
-    // Partition the workload by the fixed region map.
-    let world = fleet.build_world();
     let mut per_region: Vec<Vec<SessionSpec>> = vec![Vec::new(); regions];
     let mut straddlers: Vec<(SessionSpec, Vec<usize>)> = Vec::new();
     for spec in &fleet.sessions {
@@ -2240,6 +2223,10 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
             straddlers.push((spec.clone(), rs));
         }
     }
+    let mut owned: Vec<Vec<usize>> = vec![Vec::new(); regions];
+    for g in 0..fleet.groups {
+        owned[scenario.region_of(g)].push(g);
+    }
     let involved: Vec<u32> = straddlers
         .iter()
         .flat_map(|(_, rs)| rs.iter().map(|&r| r as u32))
@@ -2248,17 +2235,20 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
         .collect();
     let global_ep = regions as u32;
 
-    let mut plans: Vec<EndpointPlan> = (0..regions)
-        .map(|r| {
+    let mut plans: Vec<EndpointPlan> = per_region
+        .into_iter()
+        .zip(owned)
+        .enumerate()
+        .map(|(r, (specs, owned_groups))| {
             let active = involved.contains(&(r as u32));
             EndpointPlan {
                 id: r as u32,
-                world: None,
-                specs: per_region[r].clone(),
+                world: world.clone(),
+                specs,
                 straddlers: Vec::new(),
                 inbound: if active { vec![global_ep] } else { Vec::new() },
                 outbound: if active { vec![global_ep] } else { Vec::new() },
-                owned_groups: (0..fleet.groups).filter(|&g| scenario.region_of(g) == r).collect(),
+                owned_groups,
                 crash: scenario.crash_region.and_then(|(cr, a, b)| (cr == r).then_some((a, b))),
                 is_global: false,
             }
@@ -2303,7 +2293,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
             .collect();
         plans.push(EndpointPlan {
             id: global_ep,
-            world: None,
+            world: world.clone(),
             specs,
             straddlers: plan_straddlers,
             inbound: involved.clone(),
@@ -2313,10 +2303,39 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
             is_global: true,
         });
     }
+    (plans, involved)
+}
 
-    // Hand the compiled world to endpoint 0 instead of compiling it again.
-    let initial_config = world.initial_config();
-    plans[0].world = Some(world);
+/// Runs `scenario` sharded across `threads` worker threads and reports.
+///
+/// Thread count is pure execution policy: any value produces bit-for-bit
+/// identical results, journals, and event streams for a fixed scenario.
+///
+/// # Panics
+///
+/// Panics on `threads == 0`, a region count outside `1..=groups`, an
+/// out-of-range `crash_region`, and — with more than one region — a
+/// non-empty simnet fault plan (it addresses one simulator's actor ids) or
+/// the serial baseline (one lock domain by definition).
+pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardReport {
+    let fleet = &scenario.fleet;
+    let regions = scenario.regions;
+    assert!(threads >= 1, "at least one worker thread");
+    assert!(regions >= 1 && regions <= fleet.groups.max(1), "1 ≤ regions ≤ groups");
+    assert!(
+        regions == 1 || fleet.faults.is_empty(),
+        "a simnet fault plan addresses one simulator: only with one region"
+    );
+    assert!(regions == 1 || !fleet.serialize, "the serial baseline is one lock domain");
+    if let Some((r, _, _)) = scenario.crash_region {
+        assert!(r < regions, "crash_region out of range");
+    }
+    let budget_us = fleet.time_budget.as_micros();
+    let quantum_us = fleet.link_latency.as_micros().max(1);
+
+    let world = fleet.build_world();
+    let (plans, involved) = plan_endpoints(scenario, &world);
+    let global_ep = regions as u32;
 
     let fabric = Arc::new(Fabric::new(
         &involved,
@@ -2365,7 +2384,7 @@ pub fn run_fleet_sharded(scenario: &ShardScenario, threads: usize) -> ShardRepor
 
     // Regions are authoritative for their groups' component values (global
     // completions flowed back via `LockRelease`).
-    let mut cfg = initial_config;
+    let mut cfg = world.initial_config();
     for o in &outcomes {
         for &(c, present) in &o.config {
             if present {
@@ -2599,6 +2618,46 @@ mod tests {
             max_delay_quanta: 4,
             null_drop_per_mille: 100,
             ..FabricFaultPlan::default()
+        }
+    }
+
+    /// The compiled world of `ep`'s control plane (region or global tier).
+    fn endpoint_world(ep: &Endpoint) -> &FleetWorld {
+        if ep.is_global {
+            ep.sim.actor::<GlobalControl>(ep.control_id).expect("global control").inner.world()
+        } else {
+            ep.sim.actor::<RegionControl>(ep.control_id).expect("region control").inner.world()
+        }
+    }
+
+    #[test]
+    fn every_endpoint_shares_the_one_compiled_world() {
+        // Two regions with straddlers (so a global tier) and region 0
+        // crashing mid-run: all three control planes read the driver's
+        // world, before the run and after region 0 restored from its
+        // journal.
+        let mut scn = ShardScenario::new(straddling_fleet(), 2);
+        scn.crash_region = Some((0, SimTime::from_micros(3_000), SimTime::from_micros(9_000)));
+        let world = scn.fleet.build_world();
+        let (plans, involved) = plan_endpoints(&scn, &world);
+        assert_eq!(plans.len(), 3, "two regions plus the global tier");
+        let budget_us = scn.fleet.time_budget.as_micros();
+        let mut eps: Vec<Endpoint> =
+            plans.into_iter().map(|p| build_endpoint(&scn.fleet, 2, budget_us, p)).collect();
+        for ep in &eps {
+            assert!(FleetWorld::ptr_eq(endpoint_world(ep), &world), "endpoint {}", ep.id);
+        }
+        let fabric = Fabric::new(
+            &involved,
+            2,
+            scn.fleet.link_latency.as_micros().max(1),
+            scn.fabric_faults.clone(),
+            scn.promise_fastpath,
+        );
+        drive(&mut eps, &fabric);
+        assert!(eps[0].sim.incarnation(eps[0].control_id) > 0, "region 0 crashed and restarted");
+        for ep in &eps {
+            assert!(FleetWorld::ptr_eq(endpoint_world(ep), &world), "endpoint {} after run", ep.id);
         }
     }
 

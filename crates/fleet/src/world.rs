@@ -19,6 +19,9 @@
 //! collaborative sets — the property region partitioning and the plan
 //! cache's scope normalizer rely on.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use sada_expr::{CompId, Config, InvariantSet, Universe};
 use sada_model::SystemModel;
 use sada_plan::{Action, CollabIndex, Search};
@@ -208,10 +211,17 @@ impl WorldSpec {
     }
 }
 
+/// A compiled fleet world: a cheap, `Send + Sync` handle to one immutable
+/// [`WorldData`]. Cloning shares the compiled tables instead of copying
+/// them, so a run compiles its world once and every region, the global
+/// tier and every worker thread read the same one.
+#[derive(Clone)]
+pub struct FleetWorld(Arc<WorldData>);
+
 /// Static description of a fleet: universe, invariants, actions, placement,
 /// the collaborative-set index used for scope extraction, and the spec the
-/// world was compiled from.
-pub struct FleetWorld {
+/// world was compiled from. Read through a [`FleetWorld`] handle.
+pub struct WorldData {
     /// Component universe, interned in `spec.comps` order.
     pub universe: Universe,
     /// Compiled invariant set.
@@ -234,6 +244,21 @@ pub struct FleetWorld {
     pub groups: usize,
     /// The declarative spec this world was compiled from.
     pub spec: WorldSpec,
+}
+
+// Compile-time guard: a `RefCell` or `Rc` added to the compiled world must
+// fail the build, not a multi-threaded run that shares it.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<FleetWorld>();
+};
+
+impl Deref for FleetWorld {
+    type Target = WorldData;
+
+    fn deref(&self) -> &WorldData {
+        &self.0
+    }
 }
 
 impl FleetWorld {
@@ -313,7 +338,7 @@ impl FleetWorld {
         let index = CollabIndex::new(&universe, &inv, &actions);
         let search = Search::new(&inv, &actions, universe.len());
         let groups = spec.clusters.len();
-        let world = FleetWorld {
+        let world = FleetWorld(Arc::new(WorldData {
             universe,
             inv,
             actions,
@@ -323,12 +348,18 @@ impl FleetWorld {
             search,
             groups,
             spec,
-        };
+        }));
         assert!(
             world.inv.satisfied_by(&world.initial_config()),
             "initial configuration violates the invariants"
         );
         world
+    }
+
+    /// Whether `a` and `b` are handles to the same compiled world.
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
     }
 
     /// The spec's domain.
