@@ -18,12 +18,13 @@ echo "==> benchmark compile check (perfbench is its own workspace)"
 # breaks the benchmark would otherwise only surface when it is run.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> benchmark output checks (storm + contended, one timed second each)"
+echo "==> benchmark output checks (storm + wide_scope + contended, one timed second each)"
 # perfbench exits 1 on any failed output check: verdicts, safety of the
 # final configuration, repeat identity, and the same fingerprint at 1 and 2
 # worker threads (which every endpoint sharing one compiled world must
-# keep passing).
-for w in storm contended; do
+# keep passing). On wide_scope every session's plan is split across ten
+# collaborative sets, so its thread check covers the split planner.
+for w in storm wide_scope contended; do
     cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
         --workload "$w" --seed 42 --seconds 1 --trace 0 > /dev/null
 done

@@ -6,17 +6,19 @@
 //! tree-walking baseline on the identical search skeleton.
 //!
 //! Besides the criterion comparison, this bench writes
-//! `BENCH_planning.json` at the repository root with the 16–48-component
+//! `BENCH_planning.json` at the repository root with the 16–64-component
 //! sweep: per-leg invariant-evaluation, safety-check, probe, and expansion
-//! counts plus wall time (the 48-component row pins the uniform-cost
-//! frontier growth that motivates ROADMAP item 5's A* heuristic; 64
-//! components would need ~2e9 expansions and is out of blind-search
-//! reach — that gap is the item's whole case). The write *asserts* the headline claims — the
-//! compiled path does at least 5x less predicate work at 24 components,
-//! and the 16-component workload stays within its pinned safety-check
-//! budget (a regression gate run by `ci.sh`). Set `SADA_BENCH_SMOKE=1` to
-//! skip the criterion timing loops but still run the sweep, the
-//! assertions, and the JSON write.
+//! counts plus wall time. Three legs per row: the tree-walk baseline, the
+//! compiled joint search, and the scoped search split by collaborative set
+//! (§7). The 48-component row pins the joint uniform-cost frontier growth
+//! (7M expansions); the 64-component row has only the split leg, since the
+//! joint search would need ~2e9 expansions there. The write *asserts* the
+//! headline claims — the compiled path does at least 5x less predicate work
+//! at 24 components, the split search finds the joint search's path with
+//! one expansion per flipped group, and the 16-component workload stays
+//! within its pinned safety-check budget (a regression gate run by
+//! `ci.sh`). Set `SADA_BENCH_SMOKE=1` to skip the criterion timing loops
+//! but still run the sweep, the assertions, and the JSON write.
 
 use std::time::Instant;
 
@@ -24,7 +26,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sada_bench::{carousel_system, grouped_flip_workload};
 use sada_core::casestudy::case_study;
 use sada_expr::enumerate;
-use sada_plan::{lazy, LazyStats, Sag, Search};
+use sada_plan::{lazy, LazyStats, Path, Sag, Search};
 
 /// CI smoke mode: correctness sweep + JSON only, no timing loops.
 fn smoke() -> bool {
@@ -111,27 +113,38 @@ fn bench_planning_scaling(c: &mut Criterion) {
 struct Leg {
     stats: LazyStats,
     wall_ns: u128,
-    cost: u64,
+    path: Path,
 }
 
-fn run_leg(
-    search: &Search,
-    src: &sada_expr::Config,
-    dst: &sada_expr::Config,
-    extra_iters: usize,
-) -> Leg {
+impl Leg {
+    fn json(&self) -> String {
+        format!(
+            "{{\"pred_evals\": {}, \"safety_checks\": {}, \"probed\": {}, \"expanded\": {}, \
+             \"wall_ns\": {}}}",
+            self.stats.pred_evals,
+            self.stats.safety_checks,
+            self.stats.probed,
+            self.stats.expanded,
+            self.wall_ns,
+        )
+    }
+}
+
+/// Runs `plan` once for its stats and path, then `extra_iters` more times,
+/// keeping the fastest wall time.
+fn run_leg(extra_iters: usize, plan: impl Fn() -> (Option<Path>, LazyStats)) -> Leg {
     let t = Instant::now();
-    let (path, stats) = search.plan(src, dst);
+    let (path, stats) = plan();
     let mut wall_ns = t.elapsed().as_nanos();
-    let cost = path.expect("grouped flip workload always has a path").cost;
+    let path = path.expect("grouped flip workload always has a path");
     for _ in 0..extra_iters {
         let t = Instant::now();
-        let (p, _) = search.plan(src, dst);
+        let (p, _) = plan();
         let dt = t.elapsed().as_nanos();
         assert!(p.is_some());
         wall_ns = wall_ns.min(dt);
     }
-    Leg { stats, wall_ns, cost }
+    Leg { stats, wall_ns, path }
 }
 
 fn bench_hot_path(c: &mut Criterion) {
@@ -150,19 +163,15 @@ fn bench_hot_path(c: &mut Criterion) {
 
 fn write_planning_json() {
     let mut rows = String::new();
-    // 48 is the frontier-bottleneck row: uniform-cost expansions grow
-    // ~17x per 8 components (93 / 1.6k / 26k / ~7.6M), so 48 is the
-    // largest width the blind search completes — a 64-component row
-    // extrapolates to ~2e9 expansions. Those counts are the baseline
-    // numbers ROADMAP item 5's A* heuristic has to beat; the timed legs
-    // drop to one iteration there (the counts, not the wall, are the
-    // point).
-    for n in [16usize, 24, 32, 48] {
+    // 48 is the frontier-bottleneck row: joint uniform-cost expansions grow
+    // ~17x per 8 components (93 / 1.6k / 26k / ~7M), so 48 is the largest
+    // width the joint search completes; its timed legs drop to one
+    // iteration (the counts, not the wall, are the point). At 64 the joint
+    // legs would need ~2e9 expansions, so that row runs only the split leg.
+    for n in [16usize, 24, 32, 48, 64] {
         let (u, inv, actions, src, dst) = grouped_flip_workload(n);
         let kernel = Search::new(&inv, &actions, u.len());
-        let baseline = Search::tree_walk_baseline(&inv, &actions, u.len());
-        // The 48-component row times the single (minutes-long) initial
-        // query only; the counts are deterministic either way.
+        let all: Vec<u32> = (0..actions.len() as u32).collect();
         let iters = if n >= 48 {
             0
         } else if smoke() {
@@ -171,9 +180,30 @@ fn write_planning_json() {
             20
         };
         // Builds are reusable: per-query work is what the sweep measures.
-        let after = run_leg(&kernel, &src, &dst, iters);
-        let before = run_leg(&baseline, &src, &dst, iters);
-        assert_eq!(after.cost, before.cost, "both legs find the same optimum at {n}");
+        let scoped = run_leg(iters, || kernel.plan_scoped(&src, &dst, &all));
+        let flipped = (n / 4) as u64;
+        assert_eq!(
+            scoped.stats.expanded, flipped,
+            "the split search expands once per flipped group at {n}"
+        );
+        if !rows.is_empty() {
+            rows.push_str(",\n");
+        }
+        if n > 48 {
+            rows.push_str(&format!(
+                "    {{\"components\": {n}, \"groups\": {}, \"plan_steps\": {}, \
+                 \"scoped\": {}}}",
+                n / 2,
+                scoped.path.cost,
+                scoped.json(),
+            ));
+            continue;
+        }
+        let baseline = Search::tree_walk_baseline(&inv, &actions, u.len());
+        let after = run_leg(iters, || kernel.plan(&src, &dst));
+        let before = run_leg(iters, || baseline.plan(&src, &dst));
+        assert_eq!(after.path.cost, before.path.cost, "both legs find the same optimum at {n}");
+        assert_eq!(scoped.path, after.path, "the split search finds the joint path at {n}");
         assert_eq!(
             (after.stats.expanded, after.stats.generated, after.stats.safety_checks),
             (before.stats.expanded, before.stats.generated, before.stats.safety_checks),
@@ -197,37 +227,26 @@ fn write_planning_json() {
                 SAFETY_CHECK_BUDGET_16,
             );
         }
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
         rows.push_str(&format!(
             "    {{\"components\": {n}, \"groups\": {}, \"plan_steps\": {}, \
-             \"before\": {{\"pred_evals\": {}, \"safety_checks\": {}, \"probed\": {}, \
-             \"expanded\": {}, \"wall_ns\": {}}}, \
-             \"after\": {{\"pred_evals\": {}, \"safety_checks\": {}, \"probed\": {}, \
-             \"expanded\": {}, \"wall_ns\": {}}}, \
+             \"before\": {}, \"after\": {}, \"scoped\": {}, \
              \"pred_eval_reduction\": {reduction:.1}}}",
             n / 2,
-            after.cost,
-            before.stats.pred_evals,
-            before.stats.safety_checks,
-            before.stats.probed,
-            before.stats.expanded,
-            before.wall_ns,
-            after.stats.pred_evals,
-            after.stats.safety_checks,
-            after.stats.probed,
-            after.stats.expanded,
-            after.wall_ns,
+            after.path.cost,
+            before.json(),
+            after.json(),
+            scoped.json(),
         ));
     }
     let json = format!(
         "{{\n  \"bench\": \"planner_hot_path\",\n  \"workload\": \"grouped flip: n/2 one_of \
          groups, flip half forward; before = tree-walk + linear scan, after = compiled \
          kernels + incremental checks + action index on the identical search skeleton; \
-         the 48-component row pins uniform-cost expanded-node counts — the frontier \
-         bottleneck an admissible A* heuristic (ROADMAP item 5) must cut (expansions \
-         grow ~17x per 8 components; a 64-component row extrapolates to ~2e9 nodes)\",\n  \
+         scoped = plan_scoped over all actions, split by collaborative set (one \
+         uniform-cost search per flipped group, same path as after); the 48-component \
+         row pins the joint uniform-cost frontier (expansions grow ~17x per 8 \
+         components), and the 64-component row runs only the split leg (the joint \
+         search would need ~2e9 expansions)\",\n  \
          \"safety_check_budget_16\": {SAFETY_CHECK_BUDGET_16},\n  \"rows\": [\n{rows}\n  ]\n}}\n"
     );
     // crates/bench -> repository root.

@@ -3,8 +3,11 @@
 //! Each admitted session plans over *its scope only*: the action repertoire
 //! is filtered to actions whose touched components all lie inside the
 //! session's collaborative sets, and paths are found with the partial-
-//! exploration planner ([`sada_plan::lazy`]) — no eager SAG over the whole
-//! fleet's `2^n` configuration space is ever built. The compiled
+//! exploration planner ([`sada_plan::lazy`]), one collaborative set at a
+//! time ([`Search::plan_scoped`](sada_plan::Search::plan_scoped)) — no
+//! eager SAG over the whole fleet's `2^n` configuration space is ever
+//! built, nor a joint search over the `2^k` combinations of a `k`-set
+//! scope. The compiled
 //! [`Search`](sada_plan::Search) (kernel invariant checks, interned arena,
 //! action index) is built **once per world** and shared by every session;
 //! admission only gathers the scope's action indices through the search's

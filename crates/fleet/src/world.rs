@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use sada_expr::{CompId, Config, InvariantSet, Universe};
 use sada_model::SystemModel;
-use sada_plan::{Action, CollabIndex, Search};
+use sada_plan::{Action, Search};
 
 /// Which adaptation domain a world models. Tagged into the observability
 /// stream (non-video domains) so event consumers can tell workloads apart.
@@ -219,8 +219,9 @@ impl WorldSpec {
 pub struct FleetWorld(Arc<WorldData>);
 
 /// Static description of a fleet: universe, invariants, actions, placement,
-/// the collaborative-set index used for scope extraction, and the spec the
-/// world was compiled from. Read through a [`FleetWorld`] handle.
+/// the compiled planning context (which also holds the collaborative-set
+/// partition used for scope extraction), and the spec the world was
+/// compiled from. Read through a [`FleetWorld`] handle.
 pub struct WorldData {
     /// Component universe, interned in `spec.comps` order.
     pub universe: Universe,
@@ -233,12 +234,11 @@ pub struct WorldData {
     pub model: SystemModel,
     /// Process id index → agent index (identity here).
     pub agent_of_process: Vec<usize>,
-    /// Collaborative-set partition (one set per cluster).
-    pub index: CollabIndex,
     /// The compiled planning context over the whole world — invariant
-    /// kernels, action index, inverted touch index — built **once** here
-    /// and shared by every session (scoped planners restrict it to their
-    /// action subset instead of compiling their own).
+    /// kernels, action index, inverted touch index, collaborative-set
+    /// partition (one set per cluster) — built **once** here and shared by
+    /// every session (scoped planners restrict it to their action subset
+    /// instead of compiling their own).
     pub search: Search,
     /// Number of flip units (`spec.clusters.len()`).
     pub groups: usize,
@@ -335,7 +335,6 @@ impl FleetWorld {
             }
         }
         assert!(owner.iter().all(|&g| g != usize::MAX), "every comp needs a cluster");
-        let index = CollabIndex::new(&universe, &inv, &actions);
         let search = Search::new(&inv, &actions, universe.len());
         let groups = spec.clusters.len();
         let world = FleetWorld(Arc::new(WorldData {
@@ -344,7 +343,6 @@ impl FleetWorld {
             actions,
             model,
             agent_of_process,
-            index,
             search,
             groups,
             spec,
@@ -426,7 +424,7 @@ impl FleetWorld {
     /// components, expanded to full collaborative sets (sorted,
     /// deduplicated).
     pub fn scope_comps(&self, flips: &[(usize, bool)]) -> Vec<CompId> {
-        self.index.expand(
+        self.search.collab().expand(
             flips
                 .iter()
                 .flat_map(|&(g, _)| self.spec.clusters[g].comps.iter().copied())
@@ -461,11 +459,12 @@ mod tests {
     #[test]
     fn groups_are_independent_collaborative_sets() {
         let w = FleetWorld::build(4);
-        assert_eq!(w.index.sets().len(), 4);
+        let sets = w.search.collab();
+        assert_eq!(sets.set_count(), 4);
         assert_eq!(w.universe.len(), 8);
         assert_eq!(w.model.process_count(), 8);
-        assert_ne!(w.index.set_of(w.old(0)), w.index.set_of(w.old(1)));
-        assert_eq!(w.index.set_of(w.old(2)), w.index.set_of(w.newer(2)));
+        assert_ne!(sets.set_of(w.old(0)), sets.set_of(w.old(1)));
+        assert_eq!(sets.set_of(w.old(2)), sets.set_of(w.newer(2)));
         assert_eq!(w.domain(), Domain::Video);
         assert_eq!(w.objective(), Objective::LatencyMs);
     }

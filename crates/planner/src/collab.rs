@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use sada_expr::{CompId, Config, InvariantSet, Universe};
+use sada_expr::{CompId, CompiledInvariants, Config, InvariantSet, Universe};
 
 use crate::action::Action;
 
@@ -60,6 +60,16 @@ impl UnionFind {
             }
         }
     }
+
+    /// Merges every component of `comps` into one set.
+    fn union_all(&mut self, comps: impl IntoIterator<Item = CompId>) {
+        let mut it = comps.into_iter();
+        if let Some(first) = it.next() {
+            for c in it {
+                self.union(first.index(), c.index());
+            }
+        }
+    }
 }
 
 /// Partitions the universe into collaborative sets.
@@ -73,30 +83,8 @@ pub fn collaborative_sets(
     inv: &InvariantSet,
     actions: &[Action],
 ) -> Vec<Vec<CompId>> {
-    let mut uf = UnionFind::new(u.len());
-    for expr in inv.exprs() {
-        let mut vars = BTreeSet::new();
-        expr.collect_vars(&mut vars);
-        let mut it = vars.iter();
-        if let Some(first) = it.next() {
-            for v in it {
-                uf.union(first.index(), v.index());
-            }
-        }
-    }
-    for action in actions {
-        for w in action.touched_ids().windows(2) {
-            uf.union(w[0].index(), w[1].index());
-        }
-    }
-    let mut groups: Vec<Vec<CompId>> = vec![Vec::new(); u.len()];
-    for id in u.iter() {
-        let root = uf.find(id.index());
-        groups[root].push(id);
-    }
-    let mut out: Vec<Vec<CompId>> = groups.into_iter().filter(|g| !g.is_empty()).collect();
-    out.sort_by_key(|g| g[0]);
-    out
+    let ix = CollabIndex::new(u, inv, actions);
+    (0..ix.set_count()).map(|s| ix.members(s).to_vec()).collect()
 }
 
 /// The union of collaborative sets touched by moving from `source` to
@@ -121,40 +109,88 @@ pub fn scope_for(
 /// proportional to the scope it returns. It also answers the scheduling
 /// question directly: two sessions may run concurrently iff their scopes
 /// share no set ([`CollabIndex::set_of`] gives the set id to compare on).
+///
+/// Sets are numbered by their smallest member, so ascending set ids are
+/// ascending smallest members. The layout is flat (a set id per component
+/// plus the members grouped by set), so a world of 100k sets costs three
+/// vectors rather than 100k small ones.
 #[derive(Debug, Clone)]
 pub struct CollabIndex {
-    /// The partition, sorted by smallest member (as [`collaborative_sets`]).
-    sets: Vec<Vec<CompId>>,
-    /// Dense component index → index into `sets`.
-    set_of: Vec<usize>,
+    /// Dense component index → set id.
+    set_of: Vec<u32>,
+    /// Every component, grouped by set id, ascending within each set.
+    members: Vec<CompId>,
+    /// `members[starts[s]..starts[s + 1]]` are the members of set `s`.
+    starts: Vec<u32>,
 }
 
 impl CollabIndex {
     /// Builds the index for the given invariants and action repertoire.
     pub fn new(u: &Universe, inv: &InvariantSet, actions: &[Action]) -> Self {
-        let sets = collaborative_sets(u, inv, actions);
-        let mut set_of = vec![0; u.len()];
-        for (ix, set) in sets.iter().enumerate() {
-            for id in set {
-                set_of[id.index()] = ix;
-            }
+        let mut uf = UnionFind::new(u.len());
+        for expr in inv.exprs() {
+            let mut vars = BTreeSet::new();
+            expr.collect_vars(&mut vars);
+            uf.union_all(vars);
         }
-        CollabIndex { sets, set_of }
+        CollabIndex::finish(uf, actions)
     }
 
-    /// The partition itself, sorted by smallest member.
-    pub fn sets(&self) -> &[Vec<CompId>] {
-        &self.sets
+    /// [`CollabIndex::new`] from already compiled invariants: the same
+    /// partition, read off each predicate's support list.
+    pub fn from_compiled(compiled: &CompiledInvariants, actions: &[Action]) -> Self {
+        let mut uf = UnionFind::new(compiled.width());
+        for pred in compiled.preds() {
+            uf.union_all(pred.support().iter().copied());
+        }
+        CollabIndex::finish(uf, actions)
     }
 
-    /// Index (into [`CollabIndex::sets`]) of the set containing `comp`.
+    fn finish(mut uf: UnionFind, actions: &[Action]) -> Self {
+        for action in actions {
+            uf.union_all(action.removes().iter().chain(action.adds()).copied());
+        }
+        let n = uf.parent.len();
+        // Number sets in order of first appearance over ascending
+        // components, i.e. by smallest member.
+        let mut id_of_root = vec![u32::MAX; n];
+        let mut set_of = Vec::with_capacity(n);
+        let mut starts = vec![0u32];
+        for c in 0..n {
+            let root = uf.find(c);
+            if id_of_root[root] == u32::MAX {
+                id_of_root[root] = starts.len() as u32 - 1;
+                starts.push(0);
+            }
+            let s = id_of_root[root];
+            set_of.push(s);
+            starts[s as usize + 1] += 1;
+        }
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
+        }
+        let mut fill: Vec<u32> = starts[..starts.len() - 1].to_vec();
+        let mut members = vec![CompId::from_index(0); n];
+        for (c, &s) in set_of.iter().enumerate() {
+            members[fill[s as usize] as usize] = CompId::from_index(c);
+            fill[s as usize] += 1;
+        }
+        CollabIndex { set_of, members, starts }
+    }
+
+    /// Number of sets in the partition.
+    pub fn set_count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Id of the set containing `comp`.
     pub fn set_of(&self, comp: CompId) -> usize {
-        self.set_of[comp.index()]
+        self.set_of[comp.index()] as usize
     }
 
     /// Members of set `ix`, sorted.
     pub fn members(&self, ix: usize) -> &[CompId] {
-        &self.sets[ix]
+        &self.members[self.starts[ix] as usize..self.starts[ix + 1] as usize]
     }
 
     /// Expands arbitrary components to the union of their full sets
@@ -162,13 +198,13 @@ impl CollabIndex {
     /// the components it names.
     pub fn expand(&self, comps: impl IntoIterator<Item = CompId>) -> Vec<CompId> {
         let set_ids: BTreeSet<usize> = comps.into_iter().map(|c| self.set_of(c)).collect();
-        set_ids.into_iter().flat_map(|ix| self.sets[ix].iter().copied()).collect()
+        set_ids.into_iter().flat_map(|ix| self.members(ix).iter().copied()).collect()
     }
 
     /// The scope of a `source → target` adaptation: the changed components
     /// expanded to full sets (equivalent to the free function [`scope_for`]).
     pub fn scope_for(&self, source: &Config, target: &Config) -> Vec<CompId> {
-        self.expand(source.difference(target).iter().chain(target.difference(source).iter()))
+        self.expand(source.diff_ids(target))
     }
 }
 
@@ -252,7 +288,12 @@ mod tests {
         let inv =
             InvariantSet::parse(&["one_of(A, B)", "one_of(C, D)", "one_of(E, F)"], &mut u).unwrap();
         let ix = CollabIndex::new(&u, &inv, &[]);
-        assert_eq!(ix.sets(), collaborative_sets(&u, &inv, &[]).as_slice());
+        let sets = collaborative_sets(&u, &inv, &[]);
+        assert_eq!(ix.set_count(), sets.len());
+        assert!(sets.iter().enumerate().all(|(s, members)| ix.members(s) == members.as_slice()));
+        let compiled = CollabIndex::from_compiled(&inv.compile(u.len()), &[]);
+        assert_eq!(compiled.set_of, ix.set_of);
+        assert_eq!(compiled.members, ix.members);
         let src = u.config_of(&["A", "C", "E"]);
         let dst = u.config_of(&["B", "C", "F"]);
         assert_eq!(ix.scope_for(&src, &dst), scope_for(&u, &inv, &[], &src, &dst));
